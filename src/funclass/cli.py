@@ -254,8 +254,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
     if cmd == "star-centers":
         rep = starconvex.central_set(f, tol, max_scan=args.max_scan)
-        flags = [1.0 if i in set(rep.centers) else 0.0 for i in range(f.values.size)]
-        plot["center"] = flags
+        centers = set(rep.centers)
+        plot["center"] = [1.0 if i in centers else 0.0 for i in range(f.values.size)]
         return (0 if rep.is_star_convex else 1), rep.to_dict(), plot
 
     if cmd == "star-classify":

@@ -3,8 +3,10 @@
 A :class:`GridFunction` stores a left endpoint (``origin``), a positive grid
 spacing (``step``) and an array of sampled values.  Abscissas are always
 recomputed as ``origin + i * step`` from the integer index, never accumulated,
-so the index-to-abscissa mapping carries no drift.  All inequality checks in
-the package go through one acceptance rule, :meth:`Tolerance.leq`.
+so the index-to-abscissa mapping carries no drift.  Pairwise inequalities are
+accepted by :meth:`Tolerance.leq` (elementwise: :meth:`Tolerance.leq_array`);
+star-convexity and the power-fit verdict use the one-sided, grid-wide slack
+``tol.abs + tol.rel * max|v|`` instead.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ __all__ = [
     "write_csv",
     "write_json",
 ]
+
+
+MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
 
 
 class GridError(ValueError):
@@ -57,6 +62,10 @@ class Tolerance:
 
     def leq(self, x: float, y: float) -> bool:
         return x <= y + self.margin(x, y)
+
+    def leq_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise :meth:`leq` with the same operation order, so bit for bit equal."""
+        return x <= y + (self.abs + self.rel * np.maximum(np.abs(x), np.abs(y)))
 
     def geq(self, x: float, y: float) -> bool:
         return self.leq(y, x)
@@ -240,8 +249,9 @@ def write_csv(f: GridFunction, path: str | Path) -> None:
 def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     """Read a two-column ``x,y`` CSV (header optional) into a GridFunction.
 
-    The x column must be strictly increasing and uniformly spaced within
-    ``tol``; the first offending line is reported on failure.
+    The x column must be strictly increasing and uniformly spaced: each x may
+    deviate from ``origin + k * step`` within ``tol`` and by at most
+    ``MAX_SPACING_DEVIATION`` steps.  The first offending line is reported.
     """
     tol = tol or Tolerance()
     text = Path(path).read_text(encoding="utf-8")
@@ -274,7 +284,7 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
         raise GridError(f"line {row_lines[1]}: x column must be strictly increasing")
     for k, (x, _) in enumerate(rows):
         expected = origin + k * step
-        if not tol.eq(x, expected):
+        if not tol.eq(x, expected) or abs(x - expected) > MAX_SPACING_DEVIATION * step:
             raise GridError(
                 f"line {row_lines[k]}: non-uniform spacing, x={x!r} but expected {expected!r}"
             )

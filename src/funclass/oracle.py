@@ -4,6 +4,10 @@
 positive parts and folds the values left to right, which is exactly the set of
 sums the min-plus recurrence minimizes over, so the two agree bit for bit.
 The size cap keeps the exponential enumeration honest.
+
+``pair_scan_bruteforce`` is the scalar double loop behind every
+subadditivity-family pair scan: one ``ratio_coefficient`` and one
+``Tolerance.leq`` per pair, so the blocked kernel must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Tolerance, sample
+from .grid import GridError, GridFunction, Tolerance, Witness, sample
 from .periodic import PeriodSpec
 from .starconvex import is_center
+from .subadd import ratio_coefficient
 
 __all__ = [
     "center_check_hires",
     "minorant_bruteforce",
+    "pair_scan_bruteforce",
     "periodic_check_bruteforce",
 ]
 
@@ -51,6 +57,38 @@ def minorant_bruteforce(f: GridFunction, k: int) -> float:
     return float(min(sum(v[part] for part in comp) for comp in _compositions(k)))
 
 
+def pair_scan_bruteforce(
+    f: GridFunction, n: int, tol: Tolerance | None = None, weak: bool = False
+) -> tuple[Witness, ...]:
+    """Failing pairs of the order-``n`` inequality, or of the weak bound, in ``(i, j)`` order.
+
+    The grid may start ``m`` whole steps from 0; witness indices are then step
+    multiples.  Order ``n``: ``f(x+y) <= f(x) + r(x, y, n) f(y)`` for ``y > 0``.
+    Weak bound: ``f(x+y) <= max(f(x) + q f(y), q f(x) + f(y))``, ``q = 2^n - 1``,
+    for ``x, y > 0``.
+    """
+    tol = tol or Tolerance()
+    m = round(f.origin / f.step)
+    if m < 0 or f.origin != m * f.step:
+        raise GridError(f"grid origin {f.origin!r} is not a non-negative multiple of the step")
+    v = [float(value) for value in f.values]
+    q = float(2**n - 1)
+    witnesses = []
+    for i in range(len(v)):
+        for j in range(len(v)):
+            a, b = i + m, j + m
+            if b == 0 or (weak and a == 0) or a + b > m + f.n:
+                continue
+            lhs = v[i + j + m]
+            if weak:
+                rhs = max(v[i] + q * v[j], q * v[i] + v[j])
+            else:
+                rhs = v[i] + ratio_coefficient(f.x(i), f.x(j), n) * v[j]
+            if not tol.leq(lhs, rhs):
+                witnesses.append(Witness(indices=(a, b), lhs=lhs, rhs=rhs))
+    return tuple(witnesses)
+
+
 def periodic_check_bruteforce(
     f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
 ) -> bool:
@@ -60,10 +98,7 @@ def periodic_check_bruteforce(
     i = np.arange(v.size)[:, None]
     t = np.arange(v.size)[None, :]
     applies = t - i >= p.w
-    lhs = v[:, None]
-    rhs = v[None, :]
-    margin = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-    return bool(np.all(~applies | (lhs <= rhs + margin)))
+    return bool(np.all(~applies | tol.leq_array(v[:, None], v[None, :])))
 
 
 def center_check_hires(

@@ -272,9 +272,9 @@ def perturbation_check(
     g._require_same_grid(k)
     _require_period(g, p)
     v = g.values
-    margins = tol.abs + tol.rel * np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-    if not np.all(v[:-1] <= v[1:] + margins):
-        i = int(np.flatnonzero(v[:-1] > v[1:] + margins)[0])
+    rising = tol.leq_array(v[:-1], v[1:])
+    if not np.all(rising):
+        i = int(np.flatnonzero(~rising)[0])
         raise GridError(f"g must be non-decreasing, but g[{i}] > g[{i + 1}]")
 
     full = heights(g, p).window_heights[: v.size - p.w]

@@ -21,6 +21,7 @@ partition inequality holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 60  # binomial coefficients stay within double-precision range
+PAIR_BLOCK = 1 << 13  # pairs per scan block; bounds every pair-scan temporary independently of N
+PairBound = Callable[[np.ndarray, np.ndarray], np.ndarray]  # rhs(rows, cols) over one pair block
 
 
 @dataclass(frozen=True)
@@ -135,46 +138,54 @@ def _require_non_negative(f: GridFunction) -> None:
         raise GridError(f"values must be non-negative, got {f.values[i]!r} at index {i}")
 
 
-def _pair_grids(f: GridFunction, m: int):
-    """Index/abscissa matrices for the pair scan on a grid offset by m steps."""
-    size = f.values.size
-    mult = np.arange(size) + m  # multiple of the step at each array position
-    x = f.origin + np.arange(size) * f.step
-    a = mult[:, None]
-    b = mult[None, :]
-    return mult, x, a, b
+def _pair_blocks(
+    size: int, m: int, first: int, second: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield array positions ``(rows, cols)`` of the pair triangle in ``(i, j)`` order.
+
+    The triangle holds every pair of step multiples ``a = i + m >= first`` and
+    ``b = j + m >= second`` with ``a + b <= m + N`` on a grid of ``size = N + 1``
+    samples that starts ``m`` steps from 0.  Blocks hold at most ``PAIR_BLOCK``
+    pairs and continue the row-major order, splitting rows where they must.
+    """
+    i0, j0 = max(first - m, 0), max(second - m, 0)
+    counts = np.maximum(size - m - j0 - np.arange(i0, size), 0)  # row i: j0 <= j <= N - m - i
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, total)
+        first_row, last_row = np.searchsorted(ends, [start, stop - 1], side="right")
+        k = np.arange(first_row, last_row + 1)
+        row_start = ends[k] - counts[k]
+        lengths = np.minimum(ends[k], stop) - np.maximum(row_start, start)
+        cols = np.arange(start, stop) - np.repeat(row_start - j0, lengths)
+        yield np.repeat(i0 + k, lengths), cols
 
 
-def _order_violations(
-    f: GridFunction, n: int, tol: Tolerance, m: int, min_first: int
+def _violations(
+    v: np.ndarray, m: int, first: int, second: int, rhs: PairBound, tol: Tolerance
 ) -> tuple[Witness, ...]:
-    v = f.values
-    size = v.size
-    top = m + size - 1
-    mult, x, a, b = _pair_grids(f, m)
-    valid = (a >= min_first) & (b >= max(m, 1)) & (a + b <= top)
+    """Pairs where ``Tolerance.leq(v[i + j + m], rhs(i, j))`` fails, in ``(i, j)`` order."""
+    found: list[Witness] = []
+    for rows, cols in _pair_blocks(v.size, m, first, second):
+        lhs = v[rows + cols + m]
+        bound = rhs(rows, cols)
+        bad = ~tol.leq_array(lhs, bound)
+        pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
+        found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
+    return tuple(found)
 
-    xa = x[:, None]
-    xb = x[None, :]
-    u = np.divide(xa, xb, out=np.zeros((size, size)), where=xb > 0.0)
-    coeff = _coefficient_poly(u, n)
 
-    target = np.clip(a + b - m, 0, size - 1)
-    lhs = v[target]
-    rhs = v[:, None] + coeff * v[None, :]
-    margin = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-    bad = valid & (lhs > rhs + margin)
+def _order_report(f: GridFunction, n: int, tol: Tolerance | None, m: int) -> SubadditivityReport:
+    """Order-``n`` pair scan on a grid that starts ``m`` steps from 0."""
+    _require_non_negative(f)
+    v, x = f.values, f.xs()
 
-    witnesses = []
-    for ai, bi in np.argwhere(bad):
-        witnesses.append(
-            Witness(
-                indices=(int(mult[ai]), int(mult[bi])),
-                lhs=float(lhs[ai, bi]),
-                rhs=float(rhs[ai, bi]),
-            )
-        )
-    return tuple(witnesses)
+    def rhs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return v[rows] + _coefficient_poly(x[rows] / x[cols], n) * v[cols]
+
+    violations = _violations(v, m, m, max(m, 1), rhs, tol or Tolerance())
+    return SubadditivityReport(order_tested=n, holds=not violations, violations=violations)
 
 
 def check_order(f: GridFunction, n: int, tol: Tolerance | None = None) -> SubadditivityReport:
@@ -183,16 +194,13 @@ def check_order(f: GridFunction, n: int, tol: Tolerance | None = None) -> Subadd
     Scans every pair ``i >= 0``, ``j >= 1`` with ``i + j <= N``; pairs with
     ``y = 0`` are skipped.  Violations are reported sorted by ``(i, j)``.
     """
-    tol = tol or Tolerance()
     _validate_order(n)
     if f.origin != 0.0:
         raise GridError(
             f"grid must start at 0 for subadditivity checks, got origin {f.origin!r}; "
             "re-sample the function from 0"
         )
-    _require_non_negative(f)
-    violations = _order_violations(f, n, tol, m=0, min_first=0)
-    return SubadditivityReport(order_tested=n, holds=not violations, violations=violations)
+    return _order_report(f, n, tol, 0)
 
 
 def check_order_offset(
@@ -203,12 +211,8 @@ def check_order_offset(
     Used for ratio-transformed functions, whose domain starts one step in.
     Witness indices are multiples of the step, not array positions.
     """
-    tol = tol or Tolerance()
     _validate_order(n)
-    m = _offset_multiple(f)
-    _require_non_negative(f)
-    violations = _order_violations(f, n, tol, m=m, min_first=max(m, 0))
-    return SubadditivityReport(order_tested=n, holds=not violations, violations=violations)
+    return _order_report(f, n, tol, _offset_multiple(f))
 
 
 def minimal_order(
@@ -300,23 +304,13 @@ def check_weak_bound(
     _require_non_negative(f)
 
     v = f.values
-    size = v.size
     q = float(2**n - 1)
-    mult, _, a, b = _pair_grids(f, 0)
-    valid = (a >= 1) & (b >= 1) & (a + b <= size - 1)
 
-    target = np.clip(a + b, 0, size - 1)
-    lhs = v[target]
-    va = v[:, None]
-    vb = v[None, :]
-    rhs = np.maximum(va + q * vb, q * va + vb)
-    margin = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-    bad = valid & (lhs > rhs + margin)
+    def rhs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        va, vb = v[rows], v[cols]
+        return np.maximum(va + q * vb, q * va + vb)
 
-    witnesses = tuple(
-        Witness(indices=(int(ai), int(bi)), lhs=float(lhs[ai, bi]), rhs=float(rhs[ai, bi]))
-        for ai, bi in np.argwhere(bad)
-    )
+    witnesses = _violations(v, 0, 1, 1, rhs, tol)
     return SubadditivityReport(order_tested=n, holds=not witnesses, violations=witnesses)
 
 
@@ -365,17 +359,13 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
         raise GridError(f"abscissa power x^{n} overflows on this grid")
     c = float(np.dot(v[1:], xn) / np.dot(xn, xn))
 
-    mult, xx, a, b = _pair_grids(f, 0)
-    valid = (a >= 1) & (b >= 1) & (a + b <= size - 1)
-    xa = xx[:, None]
-    xb = xx[None, :]
-    ones = np.ones((size, size))
-    u_ab = np.divide(xa, xb, out=ones.copy(), where=xb > 0.0)
-    u_ba = np.divide(xb, xa, out=ones, where=xa > 0.0)
-    lhs = v[:, None] + _coefficient_poly(u_ab, n) * v[None, :]
-    rhs = v[None, :] + _coefficient_poly(u_ba, n) * v[:, None]
-    gaps = np.where(valid, np.abs(lhs - rhs), 0.0)
-    return PowerFit(c, float(np.max(gaps)))
+    def gap(rows: np.ndarray, cols: np.ndarray) -> float:
+        xa, xb, va, vb = x[rows], x[cols], v[rows], v[cols]
+        lhs = va + _coefficient_poly(xa / xb, n) * vb
+        rhs = vb + _coefficient_poly(xb / xa, n) * va
+        return np.max(np.abs(lhs - rhs))
+
+    return PowerFit(c, float(np.max([gap(*block) for block in _pair_blocks(size, 0, 1, 1)])))
 
 
 def subadditive_minorant(f: GridFunction, tol: Tolerance | None = None) -> MinorantResult:
@@ -403,9 +393,7 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance | None = None) -> Minor
 
     residual = v - sigma
     defect = float(np.max(residual))
-    non_decreasing = bool(
-        np.all(v[:-1] <= v[1:] + tol.abs + tol.rel * np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-    )
+    non_decreasing = bool(np.all(tol.leq_array(v[:-1], v[1:])))
     return MinorantResult(
         sigma=f.with_values(sigma),
         residual=f.with_values(residual),

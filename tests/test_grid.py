@@ -41,6 +41,14 @@ class TestTolerance:
         if tol.leq(x, y):
             assert tol.leq(x, y + bump)
 
+    def test_leq_array_matches_scalar_rule(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, 2000)
+        y = np.concatenate([x[:500], x[500:1000] + 1e-9, rng.uniform(-1.0, 1.0, 1000)])
+        for tol in (fc.Tolerance(), fc.Tolerance(abs=0.0, rel=0.0), fc.Tolerance(0.1, 0.5)):
+            expected = [tol.leq(float(a), float(b)) for a, b in zip(x, y)]
+            assert tol.leq_array(x, y).tolist() == expected
+
 
 class TestGridFunction:
     def test_construction_and_abscissas(self):
@@ -166,6 +174,28 @@ class TestCsv:
         path = tmp_path_factory.mktemp("csv") / "f.csv"
         write_csv(f, path)
         assert read_csv(path) == f
+
+    @pytest.mark.parametrize("step", [1e-12, 1e3])
+    @pytest.mark.parametrize("count", [5, 100_001])
+    def test_round_trip_is_bit_exact_at_extreme_steps(self, step, count, tmp_path):
+        f = fc.GridFunction(0.0, step, np.random.default_rng(3).uniform(-1.0, 1.0, count))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        assert read_csv(path) == f
+
+    def test_abscissa_roundoff_from_a_shifted_origin_is_accepted(self, tmp_path):
+        # written x = 1 + k * 1e-6 drift from the re-read step by ~1e-5 steps
+        f = fc.GridFunction(1.0, 1e-6, np.zeros(100_001))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        assert read_csv(path).step == pytest.approx(1e-6, rel=1e-9)
+
+    def test_spacing_below_absolute_tolerance_is_still_checked(self, tmp_path):
+        # a tolerance wider than the step must not hide a row 498 steps off the grid
+        path = tmp_path / "f.csv"
+        path.write_text("0,1\n1e-12,2\n5e-10,3\n")
+        with pytest.raises(fc.GridError, match="line 3: non-uniform spacing"):
+            read_csv(path)
 
     def test_non_uniform_spacing_reports_row(self, tmp_path):
         path = tmp_path / "f.csv"

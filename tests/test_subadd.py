@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import funclass as fc
-from funclass.oracle import minorant_bruteforce
+from funclass import subadd
+from funclass.oracle import minorant_bruteforce, pair_scan_bruteforce
 from support import random_nonneg_grid, random_order_subadditive
 
 
@@ -219,6 +220,62 @@ class TestFitPower:
         fit = fc.fit_power(f, 3)
         assert fit.c == pytest.approx(-2.0, rel=1e-12)
         assert fit.max_residual <= 1e-12 * float(np.max(np.abs(f.values)))
+
+
+def witness_bits(witnesses):
+    return [(w.indices, w.lhs.hex(), w.rhs.hex()) for w in witnesses]
+
+
+class TestPairScanAgainstOracle:
+    """The blocked pair scan against the scalar double loop, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_witnesses_match_scalar_loop(self, block, monkeypatch):
+        if block is not None:  # blocks then split rows mid-triangle
+            monkeypatch.setattr(subadd, "PAIR_BLOCK", block)
+        rng = np.random.default_rng(2308)
+        found = 0
+        for trial in range(30):
+            f = random_nonneg_grid(rng, 24) if trial % 2 else random_order_subadditive(rng)
+            n = int(rng.integers(1, 5))
+            tol = fc.Tolerance() if trial % 3 else fc.Tolerance(abs=0.0, rel=0.0)
+            shifted = fc.GridFunction(3 * f.step, f.step, f.values)
+            cases = [
+                (fc.check_order(f, n, tol), pair_scan_bruteforce(f, n, tol)),
+                (fc.check_weak_bound(f, n, tol), pair_scan_bruteforce(f, n, tol, weak=True)),
+                (fc.check_order_offset(shifted, n, tol), pair_scan_bruteforce(shifted, n, tol)),
+            ]
+            if f.values.size >= 3:
+                g = fc.ratio_transform(f, n)
+                cases.append((fc.check_order_offset(g, 1, tol), pair_scan_bruteforce(g, 1, tol)))
+            for rep, expected in cases:
+                assert witness_bits(rep.violations) == witness_bits(expected)
+                assert rep.holds == (not expected)
+                found += len(expected)
+        assert found > 100  # the comparison saw failing pairs, not only passes
+
+    @pytest.mark.parametrize(
+        "size, m, first, second", [(9, 0, 0, 1), (9, 0, 1, 1), (7, 2, 2, 2), (2, 0, 1, 1)]
+    )
+    def test_blocks_cover_the_triangle_in_order(self, size, m, first, second, monkeypatch):
+        monkeypatch.setattr(subadd, "PAIR_BLOCK", 5)
+        blocks = list(subadd._pair_blocks(size, m, first, second))
+        assert all(rows.size <= 5 for rows, _ in blocks)
+        pairs = [(i, j) for rows, cols in blocks for i, j in zip(rows.tolist(), cols.tolist())]
+        assert pairs == [
+            (i, j)
+            for i in range(size)
+            for j in range(size)
+            if i + m >= first and j + m >= second and i + j + m <= size - 1
+        ]
+
+    def test_fit_power_residual_independent_of_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        grids = [random_nonneg_grid(rng, 40) for _ in range(10)]
+        grids = [(f, int(rng.integers(2, 6))) for f in grids if f.values.size >= 3]
+        expected = [fc.fit_power(f, n).max_residual.hex() for f, n in grids]
+        monkeypatch.setattr(subadd, "PAIR_BLOCK", 3)
+        assert [fc.fit_power(f, n).max_residual.hex() for f, n in grids] == expected
 
 
 class TestSubadditiveMinorant:
