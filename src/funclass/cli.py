@@ -176,8 +176,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
     if cmd == "power-fit":
         fit = subadd.fit_power(f, args.n)
-        scale = float(np.max(np.abs(f.values)))
-        holds = fit.max_residual <= tol.abs + tol.rel * scale
+        holds = fit.max_residual <= tol.grid_slack(f.values)
         out = {"n": args.n, "c": fit.c, "max_residual": fit.max_residual, "holds": holds}
         return (0 if holds else 1), out, plot
 

@@ -6,7 +6,7 @@ recomputed as ``origin + i * step`` from the integer index, never accumulated,
 so the index-to-abscissa mapping carries no drift.  Pairwise inequalities are
 accepted by :meth:`Tolerance.leq` (elementwise: :meth:`Tolerance.leq_array`);
 star-convexity and the power-fit verdict use the one-sided, grid-wide slack
-``tol.abs + tol.rel * max|v|`` instead.
+:meth:`Tolerance.grid_slack` (``abs + rel * max|v|``) instead.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ class Tolerance:
             raise GridError(f"relative tolerance must be in [0, 1), got {self.rel}")
 
     def margin(self, x: float, y: float) -> float:
+        if self.rel == 0.0:  # 0 * inf would make the margin NaN
+            return self.abs
         return self.abs + self.rel * max(abs(x), abs(y))
 
     def leq(self, x: float, y: float) -> bool:
@@ -65,7 +67,13 @@ class Tolerance:
 
     def leq_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise :meth:`leq` with the same operation order, so bit for bit equal."""
+        if self.rel == 0.0:
+            return x <= y + self.abs
         return x <= y + (self.abs + self.rel * np.maximum(np.abs(x), np.abs(y)))
+
+    def grid_slack(self, values: np.ndarray) -> float:
+        """One-sided slack ``abs + rel * max|values|`` shared by a whole grid."""
+        return self.abs + self.rel * float(np.max(np.abs(values)))
 
     def geq(self, x: float, y: float) -> bool:
         return self.leq(y, x)

@@ -8,6 +8,9 @@ The size cap keeps the exponential enumeration honest.
 ``pair_scan_bruteforce`` is the scalar double loop behind every
 subadditivity-family pair scan: one ``ratio_coefficient`` and one
 ``Tolerance.leq`` per pair, so the blocked kernel must match it bit for bit.
+``periodic_witnesses_bruteforce`` rescans the suffix of every index with
+scalar comparisons and one ``Tolerance.leq``, the reference for the
+vectorised periodic witnesses.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "minorant_bruteforce",
     "pair_scan_bruteforce",
     "periodic_check_bruteforce",
+    "periodic_witnesses_bruteforce",
 ]
 
 MAX_BRUTEFORCE_N = 14
@@ -99,6 +103,23 @@ def periodic_check_bruteforce(
     t = np.arange(v.size)[None, :]
     applies = t - i >= p.w
     return bool(np.all(~applies | tol.leq_array(v[:, None], v[None, :])))
+
+
+def periodic_witnesses_bruteforce(
+    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+) -> tuple[Witness, ...]:
+    """Indices ``i`` failing ``v[i] <= min(v[i+w:])``, each paired with the first minimizer."""
+    tol = tol or Tolerance()
+    v = [float(value) for value in f.values]
+    witnesses = []
+    for i in range(len(v) - p.w):
+        t = i + p.w
+        for u in range(i + p.w, len(v)):
+            if v[u] < v[t]:
+                t = u
+        if not tol.leq(v[i], v[t]):
+            witnesses.append(Witness(indices=(i, t), lhs=v[i], rhs=v[t]))
+    return tuple(witnesses)
 
 
 def center_check_hires(

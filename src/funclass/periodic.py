@@ -11,11 +11,15 @@ values over ``[i, i+w]`` clipped to the grid, ``global_d`` is the largest
 window height, and ``overall`` the full-range oscillation.  The monotone
 envelopes (suffix minima and prefix maxima) bracket any ``d``-periodically
 increasing function within ``global_d / 2`` of their average.
+
+Everything is built from two O(N) array primitives: suffix minima (one
+``np.minimum.accumulate``), which serve the decision, its witnesses, the
+greatest periodic minorant and the envelopes; and sliding-window extrema by
+the van Herk / Gil-Werman block method, which serve the heights.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,20 +143,9 @@ class PeriodicDecomposition:
     periodicity_error: float
 
 
-def _suffix_min_with_argmin(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix minima and the smallest index attaining each one."""
-    size = v.size
-    mins = np.empty(size)
-    args = np.empty(size, dtype=np.int64)
-    best = v[-1]
-    best_at = size - 1
-    for t in range(size - 1, -1, -1):
-        if v[t] <= best:
-            best = v[t]
-            best_at = t
-        mins[t] = best
-        args[t] = best_at
-    return mins, args
+def _suffix_min(v: np.ndarray) -> np.ndarray:
+    """``mins[t] = min(v[t:])``."""
+    return np.minimum.accumulate(v[::-1])[::-1]
 
 
 def is_periodically_increasing(
@@ -161,20 +154,20 @@ def is_periodically_increasing(
     """Decide whether ``f(x) <= f(y)`` whenever ``y - x >= d`` on the grid.
 
     Each index is compared against the minimum over all indices at least ``w``
-    steps later; a failure is witnessed by the pair ``(i, argmin)``.
+    steps later; a failure is witnessed by the pair ``(i, t)``, where ``t`` is
+    the smallest index attaining that minimum.
     """
     tol = tol or Tolerance()
     _require_period(f, p)
     v = f.values
-    mins, args = _suffix_min_with_argmin(v)
-    witnesses = []
-    for i in range(v.size - p.w):
-        lo = mins[i + p.w]
-        if not tol.leq(float(v[i]), float(lo)):
-            witnesses.append(
-                Witness(indices=(i, int(args[i + p.w])), lhs=float(v[i]), rhs=float(lo))
-            )
-    return PeriodicCheckResult(holds=not witnesses, witnesses=tuple(witnesses))
+    mins = _suffix_min(v)
+    starts = np.flatnonzero(~tol.leq_array(v[: -p.w], mins[p.w :]))
+    # the first index >= i + w that attains its own suffix minimum attains mins[i + w]
+    at_min = np.flatnonzero(v == mins)
+    ends = at_min[np.searchsorted(at_min, starts + p.w)]
+    pairs = zip(starts.tolist(), ends.tolist())
+    witnesses = tuple(map(Witness, pairs, v[starts].tolist(), v[ends].tolist()))
+    return PeriodicCheckResult(holds=not witnesses, witnesses=witnesses)
 
 
 def _require_period(f: GridFunction, p: PeriodSpec) -> None:
@@ -182,30 +175,39 @@ def _require_period(f: GridFunction, p: PeriodSpec) -> None:
         raise GridError(f"period of {p.w} steps does not fit a grid with {f.n} intervals")
 
 
+def _require_periodically_increasing(f: GridFunction, p: PeriodSpec, tol: Tolerance) -> None:
+    verdict = is_periodically_increasing(f, p, tol)
+    if not verdict.holds:
+        w = verdict.witnesses[0]
+        raise GridError(
+            f"function is not {p.d!r}-periodically increasing "
+            f"(f({f.x(w.indices[0])!r}) = {w.lhs!r} > f({f.x(w.indices[1])!r}) = {w.rhs!r})"
+        )
+
+
+def _window_extremum(v: np.ndarray, w: int, ufunc: np.ufunc, pad: float) -> np.ndarray:
+    """``ufunc`` over every window ``[i, i+w]`` clipped to the grid (van Herk / Gil-Werman).
+
+    Blocks of ``w + 1`` samples, padded with ``pad``, hold each window in one
+    block or across two adjacent ones, so its extremum is that of the suffix
+    of ``i``'s block and the prefix of ``(i+w)``'s block.
+    """
+    width = w + 1
+    blocks = np.full(-(-(v.size + w) // width) * width, pad)
+    blocks[: v.size] = v
+    blocks = blocks.reshape(-1, width)
+    suffix = np.empty_like(blocks)
+    ufunc.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+    prefix = ufunc.accumulate(blocks, axis=1, out=blocks)
+    return ufunc(suffix.reshape(-1)[: v.size], prefix.reshape(-1)[w : w + v.size])
+
+
 def heights(f: GridFunction, p: PeriodSpec) -> HeightProfile:
-    """Sliding-window oscillation via monotonic deques, O(N) overall."""
+    """Sliding-window oscillation from block prefix and suffix extrema, O(N) overall."""
     _require_period(f, p)
     v = f.values
-    size = v.size
-    out = np.empty(size)
-    maxdq: deque[int] = deque()
-    mindq: deque[int] = deque()
-    right = -1
-    for i in range(size):
-        hi = min(i + p.w, size - 1)
-        while right < hi:
-            right += 1
-            while maxdq and v[maxdq[-1]] <= v[right]:
-                maxdq.pop()
-            maxdq.append(right)
-            while mindq and v[mindq[-1]] >= v[right]:
-                mindq.pop()
-            mindq.append(right)
-        while maxdq[0] < i:
-            maxdq.popleft()
-        while mindq[0] < i:
-            mindq.popleft()
-        out[i] = v[maxdq[0]] - v[mindq[0]]
+    out = _window_extremum(v, p.w, np.maximum, -np.inf)
+    out -= _window_extremum(v, p.w, np.minimum, np.inf)
     return HeightProfile(
         window_heights=out,
         global_d=float(np.max(out)),
@@ -221,7 +223,7 @@ def greatest_periodic_minorant(f: GridFunction, p: PeriodSpec) -> GridFunction:
     """
     _require_period(f, p)
     v = f.values
-    mins, _ = _suffix_min_with_argmin(v)
+    mins = _suffix_min(v)
     out = v.copy()
     cut = v.size - p.w
     out[:cut] = np.minimum(v[:cut], mins[p.w:])
@@ -231,7 +233,7 @@ def greatest_periodic_minorant(f: GridFunction, p: PeriodSpec) -> GridFunction:
 def envelopes(f: GridFunction) -> EnvelopeSet:
     """Largest increasing minorant, smallest increasing majorant, and their mean."""
     v = f.values
-    lower = np.minimum.accumulate(v[::-1])[::-1]
+    lower = _suffix_min(v)
     upper = np.maximum.accumulate(v)
     hat = (lower + upper) / 2.0
     return EnvelopeSet(
@@ -246,13 +248,7 @@ def check_hat_bound(
 ) -> HatBoundReport:
     """Verify ``sup |f - f_hat| <= global_d / 2`` for a periodically increasing f."""
     tol = tol or Tolerance()
-    verdict = is_periodically_increasing(f, p, tol)
-    if not verdict.holds:
-        w = verdict.witnesses[0]
-        raise GridError(
-            f"function is not {p.d!r}-periodically increasing "
-            f"(f({f.x(w.indices[0])!r}) = {w.lhs!r} > f({f.x(w.indices[1])!r}) = {w.rhs!r})"
-        )
+    _require_periodically_increasing(f, p, tol)
     bound = heights(f, p).global_d / 2.0
     hat = envelopes(f).f_hat
     sup_err = float(np.max(np.abs(f.values - hat.values)))
@@ -308,13 +304,7 @@ def decompose(
         raise GridError(
             f"interval of {f.n} steps is not longer than twice the period ({2 * p.w} steps)"
         )
-    verdict = is_periodically_increasing(f, p, tol)
-    if not verdict.holds:
-        w = verdict.witnesses[0]
-        raise GridError(
-            f"function is not {p.d!r}-periodically increasing "
-            f"(f({f.x(w.indices[0])!r}) = {w.lhs!r} > f({f.x(w.indices[1])!r}) = {w.rhs!r})"
-        )
+    _require_periodically_increasing(f, p, tol)
 
     v = f.values
     diffs = v[p.w:] - v[: v.size - p.w]

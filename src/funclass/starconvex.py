@@ -126,10 +126,6 @@ class StarReport:
         }
 
 
-def _margin(f: GridFunction, tol: Tolerance) -> float:
-    return tol.abs + tol.rel * float(np.max(np.abs(f.values)))
-
-
 def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
 
@@ -140,7 +136,7 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
-    margin = _margin(f, tol)
+    margin = tol.grid_slack(f.values)
     for q in range(v.size):
         lo, hi = (p, q) if p < q else (q, p)
         if hi - lo < 2:
@@ -183,7 +179,7 @@ def classify_shape(f: GridFunction, p: int, tol: Tolerance | None = None) -> Sha
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"split index {p} out of range [0, {v.size - 1}]")
-    margin = _margin(f, tol)
+    margin = tol.grid_slack(f.values)
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]  # second difference at interior index i+1
     left = d2[: max(p - 1, 0)]  # interior indices 1 .. p-1
     right = d2[p:]  # interior indices p+1 .. N-1
@@ -249,7 +245,7 @@ def region_star_check(
     if region.split_index is not None and not 0 <= region.split_index < size:
         raise GridError(f"split index {region.split_index} out of range")
 
-    margin = _margin(f, tol)
+    margin = tol.grid_slack(f.values)
     kinds = _column_kinds(region, size)
     levels = np.linspace(
         float(np.min(v)) - region.vertical_extent,

@@ -135,7 +135,7 @@ def _require_non_negative(f: GridFunction) -> None:
     bad = np.flatnonzero(f.values < 0.0)
     if bad.size:
         i = int(bad[0])
-        raise GridError(f"values must be non-negative, got {f.values[i]!r} at index {i}")
+        raise GridError(f"values must be non-negative, got {float(f.values[i])!r} at index {i}")
 
 
 def _pair_blocks(

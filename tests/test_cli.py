@@ -49,6 +49,13 @@ class TestSources:
         )
         assert code == 2
 
+    def test_negative_value_error_prints_a_plain_float(self, capsys):
+        argv = ["ratio", "--expr", "x^2.5+sin(9*x)", "--from", "0", "--to", "1",
+                "--samples", "300", "--n", "1"]
+        code, _, err = invoke(capsys, argv)
+        assert code == 2
+        assert "got -0.006849730259458947 at index 106" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert invoke(capsys, ["frobnicate"])[0] == 2
 

@@ -41,6 +41,12 @@ class TestTolerance:
         if tol.leq(x, y):
             assert tol.leq(x, y + bump)
 
+    def test_zero_rel_accepts_an_infinite_rhs(self):
+        tol = fc.Tolerance(rel=0.0)
+        assert tol.leq(1e300, math.inf)
+        x, y = np.array([1e300, 1.0]), np.array([math.inf, 0.5])
+        assert tol.leq_array(x, y).tolist() == [True, False]
+
     def test_leq_array_matches_scalar_rule(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, 2000)

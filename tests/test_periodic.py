@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import funclass as fc
-from funclass.oracle import periodic_check_bruteforce
+from funclass.oracle import periodic_check_bruteforce, periodic_witnesses_bruteforce
 from support import (
     random_grid_any_sign,
     random_increasing_grid,
@@ -78,6 +78,27 @@ class TestPeriodicCheck:
             fast = fc.is_periodically_increasing(f, spec).holds
             assert fast == periodic_check_bruteforce(f, spec)
 
+    def test_witnesses_match_scalar_scan(self):
+        def bits(witnesses):
+            return [(w.indices, w.lhs.hex(), w.rhs.hex()) for w in witnesses]
+
+        rng = np.random.default_rng(59)
+        grids = [fc.GridFunction(0.0, 1.0, [5.0, 0.0, 2.0, -0.0, 3.0])]  # rhs keeps -0.0
+        grids += [fc.GridFunction(0.0, 0.5, rng.integers(-3, 4, n + 1)) for n in range(1, 30)]
+        grids += [random_grid_any_sign(rng, max_n=24) for _ in range(10)]
+        found = 0
+        for f in grids:
+            for w in range(1, f.n + 1):
+                spec = fc.PeriodSpec(d=w * f.step, w=w)
+                for tol in (fc.Tolerance(), fc.Tolerance(abs=0.0, rel=0.0), fc.Tolerance(0.5, 0.1)):
+                    fast = fc.is_periodically_increasing(f, spec, tol).witnesses
+                    assert bits(fast) == bits(periodic_witnesses_bruteforce(f, spec, tol))
+                    found += len(fast)
+        assert found > 1000
+        signed = fc.is_periodically_increasing(grids[0], fc.PeriodSpec(d=1.0, w=1)).witnesses
+        assert bits(signed) == [((0, 1), "0x1.4000000000000p+2", "0x0.0p+0"),
+                                ((2, 3), "0x1.0000000000000p+1", "-0x0.0p+0")]
+
 
 class TestHeights:
     def test_sine_heights(self):
@@ -102,9 +123,14 @@ class TestHeights:
 
     def test_matches_naive_window_scan(self):
         rng = np.random.default_rng(13)
+        cases = []
         for _ in range(100):
             f = random_grid_any_sign(rng, max_n=80)
-            w = int(rng.integers(1, f.n + 1))
+            cases.append((f, int(rng.integers(1, f.n + 1))))
+        for n, w in [(1, 1), (9, 1), (9, 9), (80, 80), (12, 3), (35, 6), (64, 1), (42, 20)]:
+            # w = 1, w = N, and grids whose N + 1 + w samples fill whole blocks of w + 1
+            cases.append((fc.GridFunction(0.0, 0.25, rng.integers(-3, 4, n + 1)), w))
+        for f, w in cases:
             prof = fc.heights(f, fc.PeriodSpec(d=w * f.step, w=w))
             v = f.values
             naive = [

@@ -174,6 +174,11 @@ class TestWeakBound:
         assert not rep.holds
         assert rep.violations[0].indices == (1, 1)
 
+    def test_overflowing_bound_passes_with_zero_rel(self):
+        f = fc.GridFunction(0.0, 1.0, [0.0, 1e300, 1e300, 1e300])
+        with np.errstate(over="ignore"):  # (2^60 - 1) * 1e300 is inf, an honest upper bound
+            assert fc.check_weak_bound(f, 60, fc.Tolerance(rel=0.0)).holds
+
 
 class TestFunctionalEquation:
     def test_exact_power_family_has_tiny_residual(self):
