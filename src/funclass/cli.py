@@ -91,10 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("decompose", "split into increasing plus d-periodic parts")
     p.add_argument("--d", type=float, required=True)
 
-    p = command("star-centers", "central set and per-center curvature classes")
-    p.add_argument("--max-scan", dest="max_scan", type=int,
-                   default=starconvex.DEFAULT_MAX_SCAN,
-                   help="cap on grid intervals for the cubic scan")
+    command("star-centers", "central set and per-center curvature classes")
 
     p = command("star-classify", "curvature pattern around a split index")
     p.add_argument("--p", type=int, required=True, help="split grid index")
@@ -252,7 +249,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, dict, dict]:
         return 0, out, plot
 
     if cmd == "star-centers":
-        rep = starconvex.central_set(f, tol, max_scan=args.max_scan)
+        rep = starconvex.central_set(f, tol)
         centers = set(rep.centers)
         plot["center"] = [1.0 if i in centers else 0.0 for i in range(f.values.size)]
         return (0 if rep.is_star_convex else 1), rep.to_dict(), plot

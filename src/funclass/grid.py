@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,10 +67,18 @@ class Tolerance:
         return x <= y + self.margin(x, y)
 
     def leq_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise :meth:`leq` with the same operation order, so bit for bit equal."""
+        """Elementwise :meth:`leq` with the same operation order, so bit for bit equal.
+
+        Builds at most two temporaries of the broadcast shape besides the result.
+        """
         if self.rel == 0.0:
             return x <= y + self.abs
-        return x <= y + (self.abs + self.rel * np.maximum(np.abs(x), np.abs(y)))
+        rhs = np.abs(x, out=np.empty(np.broadcast_shapes(np.shape(x), np.shape(y))))
+        np.maximum(rhs, np.abs(y), out=rhs)
+        np.multiply(rhs, self.rel, out=rhs)
+        np.add(rhs, self.abs, out=rhs)
+        np.add(rhs, y, out=rhs)
+        return x <= rhs
 
     def grid_slack(self, values: np.ndarray) -> float:
         """One-sided slack ``abs + rel * max|values|`` shared by a whole grid."""
@@ -82,7 +91,7 @@ class Tolerance:
         return self.leq(x, y) and self.leq(y, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A failing instance of an inequality: ``lhs <= rhs`` did not hold.
 
@@ -263,8 +272,7 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     """
     tol = tol or Tolerance()
     text = Path(path).read_text(encoding="utf-8")
-    rows: list[tuple[float, float]] = []
-    row_lines: list[int] = []
+    xs, ys, row_lines = array("d"), array("d"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -275,30 +283,37 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            if not rows and lineno == 1:
+            if not xs and lineno == 1:
                 continue  # header row
             raise GridError(f"line {lineno}: could not parse numbers from {line!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GridError(f"line {lineno}: non-finite entry in {line!r}")
-        rows.append((x, y))
+        xs.append(x)
+        ys.append(y)
         row_lines.append(lineno)
 
-    if len(rows) < 2:
-        raise GridError(f"need at least 2 data rows, got {len(rows)}")
+    if len(xs) < 2:
+        raise GridError(f"need at least 2 data rows, got {len(xs)}")
 
-    origin = rows[0][0]
-    step = rows[1][0] - rows[0][0]
+    origin = xs[0]
+    step = xs[1] - xs[0]
     if step <= 0.0:
         raise GridError(f"line {row_lines[1]}: x column must be strictly increasing")
-    for k, (x, _) in enumerate(rows):
-        expected = origin + k * step
-        if not tol.eq(x, expected) or abs(x - expected) > MAX_SPACING_DEVIATION * step:
+    xv = np.frombuffer(xs, dtype=np.float64)
+    expected = origin + np.arange(xv.size) * step
+    off_grid = ~(tol.leq_array(xv, expected) & tol.leq_array(expected, xv))
+    off_grid |= np.abs(xv - expected) > MAX_SPACING_DEVIATION * step
+    backwards = np.concatenate(([False], xv[1:] <= xv[:-1]))
+    bad = np.flatnonzero(off_grid | backwards)
+    if bad.size:  # the first offending row; spacing is reported before order
+        k = int(bad[0])
+        if off_grid[k]:
             raise GridError(
-                f"line {row_lines[k]}: non-uniform spacing, x={x!r} but expected {expected!r}"
+                f"line {row_lines[k]}: non-uniform spacing, "
+                f"x={xs[k]!r} but expected {float(expected[k])!r}"
             )
-        if k > 0 and x <= rows[k - 1][0]:
-            raise GridError(f"line {row_lines[k]}: x column must be strictly increasing")
-    return GridFunction(origin, step, np.array([y for _, y in rows]))
+        raise GridError(f"line {row_lines[k]}: x column must be strictly increasing")
+    return GridFunction(origin, step, np.frombuffer(ys, dtype=np.float64))
 
 
 def write_json(f: GridFunction, path: str | Path) -> None:

@@ -11,6 +11,11 @@ subadditivity-family pair scan: one ``ratio_coefficient`` and one
 ``periodic_witnesses_bruteforce`` rescans the suffix of every index with
 scalar comparisons and one ``Tolerance.leq``, the reference for the
 vectorised periodic witnesses.
+
+``is_center_bruteforce`` and ``region_star_check_bruteforce`` evaluate every
+chord (and every sampled segment) at every grid point it crosses: the cubic
+transcription of the definitions that the slope-visibility test in
+``starconvex`` must match verdict for verdict and witness for witness.
 """
 
 from __future__ import annotations
@@ -21,15 +26,17 @@ import numpy as np
 
 from .grid import GridError, GridFunction, Tolerance, Witness, sample
 from .periodic import PeriodSpec
-from .starconvex import is_center
+from .starconvex import RegionCheckReport, RegionKind, RegionSpec, StarWitness
 from .subadd import ratio_coefficient
 
 __all__ = [
     "center_check_hires",
+    "is_center_bruteforce",
     "minorant_bruteforce",
     "pair_scan_bruteforce",
     "periodic_check_bruteforce",
     "periodic_witnesses_bruteforce",
+    "region_star_check_bruteforce",
 ]
 
 MAX_BRUTEFORCE_N = 14
@@ -122,6 +129,103 @@ def periodic_witnesses_bruteforce(
     return tuple(witnesses)
 
 
+def is_center_bruteforce(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
+    """Every chord from ``p``, evaluated at every grid point between, is one-sided."""
+    tol = tol or Tolerance()
+    v = f.values
+    if not 0 <= p < v.size:
+        raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
+    margin = tol.grid_slack(f.values)
+    for q in range(v.size):
+        lo, hi = (p, q) if p < q else (q, p)
+        if hi - lo < 2:
+            continue
+        between = np.arange(lo + 1, hi)
+        t = (between - p) / (q - p)
+        chord = v[p] + (v[q] - v[p]) * t
+        seg = v[between]
+        in_epi = bool(np.all(chord >= seg - margin))
+        in_hypo = bool(np.all(chord <= seg + margin))
+        if not (in_epi or in_hypo):
+            return False
+    return True
+
+
+def region_star_check_bruteforce(
+    f: GridFunction,
+    region: RegionSpec,
+    center_p: int,
+    tol: Tolerance | None = None,
+) -> RegionCheckReport:
+    """Every sampled region point, every crossing: first failure (column, level, crossing)."""
+    tol = tol or Tolerance()
+    v = f.values
+    size = v.size
+    if not 0 <= center_p < size:
+        raise GridError(f"center index {center_p} out of range [0, {size - 1}]")
+    if region.kind in (RegionKind.SPLIT_EPI_HYPO, RegionKind.SPLIT_HYPO_EPI):
+        if region.split_index != center_p:
+            raise GridError(
+                f"split_index {region.split_index} must equal the center {center_p}"
+            )
+    if region.split_index is not None and not 0 <= region.split_index < size:
+        raise GridError(f"split index {region.split_index} out of range")
+
+    margin = tol.grid_slack(f.values)
+    kinds = np.empty(size, dtype=np.int8)  # +1 epigraph, -1 hypograph, 0 unconstrained
+    if region.kind is RegionKind.EPI:
+        kinds[:] = 1
+    elif region.kind is RegionKind.HYPO:
+        kinds[:] = -1
+    else:
+        s = region.split_index
+        left, right = (1, -1) if region.kind is RegionKind.SPLIT_EPI_HYPO else (-1, 1)
+        kinds[:s] = left
+        kinds[s + 1:] = right
+        kinds[s] = 0
+    levels = np.linspace(
+        float(np.min(v)) - region.vertical_extent,
+        float(np.max(v)) + region.vertical_extent,
+        region.vertical_samples,
+    )
+    cp = float(v[center_p])
+
+    for q in range(size):
+        if kinds[q] == 1:
+            selected = levels[levels >= v[q]]
+        elif kinds[q] == -1:
+            selected = levels[levels <= v[q]]
+        else:
+            selected = levels
+        lo, hi = (center_p, q) if center_p < q else (q, center_p)
+        if hi - lo < 2 or selected.size == 0:
+            continue
+        between = np.arange(lo + 1, hi)
+        frac = (between - center_p) / (q - center_p)
+        seg = cp + np.outer(selected - cp, frac)  # levels x crossings
+        col_kinds = kinds[between]
+        ok = np.where(
+            col_kinds == 1,
+            seg >= v[between] - margin,
+            np.where(col_kinds == -1, seg <= v[between] + margin, True),
+        )
+        bad = np.argwhere(~ok)
+        if bad.size:
+            li, mi = bad[0]
+            m_idx = int(between[mi])
+            return RegionCheckReport(
+                ok=False,
+                witness=StarWitness(
+                    column=q,
+                    level=float(selected[li]),
+                    crossing=m_idx,
+                    segment_value=float(seg[li, mi]),
+                    graph_value=float(v[m_idx]),
+                ),
+            )
+    return RegionCheckReport(ok=True, witness=None)
+
+
 def center_check_hires(
     source: str | Callable[[float], float] | Sequence[float],
     f: GridFunction,
@@ -137,4 +241,4 @@ def center_check_hires(
     if factor < 2:
         raise GridError(f"resampling factor must be >= 2, got {factor}")
     fine = sample(source, f.origin, f.step / factor, f.n * factor + 1)
-    return is_center(fine, p * factor, tol)
+    return is_center_bruteforce(fine, p * factor, tol)

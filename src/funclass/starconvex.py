@@ -7,10 +7,21 @@ below it (inside the hypograph), checked at every grid abscissa in between.
 The set of all centers is the central set; it is non-empty exactly when the
 function is star-convex, and it is the whole grid for convex or concave input.
 
+Chords are decided by slope visibility.  Walking outward from ``p``, the
+chord to ``q`` stays in the epigraph iff its slope is at least the largest
+``(v[m] - v[p] - margin) / |m - p|`` over the points ``m`` passed so far, and
+in the hypograph iff it is at most the smallest ``(v[m] - v[p] + margin) /
+|m - p|``; one running maximum and one running minimum per side decide every
+chord from ``p``, so a center costs O(N) and the central set O(N^2).  Slopes
+round differently from the chord ordinates, so the slope test runs with a
+slack a few ulps of ``2 * max|v| + margin`` smaller, and a chord it does not
+pass is decided by evaluating its ordinates, as the definition reads.
+
 ``classify_shape`` reads the one-sided curvature at a split point from second
 differences; the four two-sided sign patterns correspond to epigraph or
 hypograph regions (or split unions of both) that are star-shaped from the
-graph point, which ``region_star_check`` verifies by sampling.
+graph point, which ``region_star_check`` verifies by sampling with the same
+slope bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +46,11 @@ __all__ = [
     "region_star_check",
 ]
 
-DEFAULT_MAX_SCAN = 512  # N cap for the cubic central-set scan
+# Slopes and chord ordinates round differently, each within a few ulps of
+# ``2 * max|v| + margin`` at every chord point.  A chord that passes the slope
+# test with this many such ulps less slack passes the ordinate test too, and
+# one that fails it with as many more fails the ordinate test.
+_BAND_ULPS = 16
 
 
 class ShapeClass(str, enum.Enum):
@@ -126,42 +141,74 @@ class StarReport:
         }
 
 
+def _rounding_band(v: np.ndarray, margin: float) -> float:
+    """How far, in value units, the slope and ordinate tests may round apart."""
+    scale = 2.0 * float(np.max(np.abs(v))) + margin
+    return _BAND_ULPS * float(np.finfo(np.float64).eps) * scale
+
+
+def _chord_bounds(
+    v: np.ndarray, p: int, slack: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slope bounds for chords from ``(p, v[p])``, slopes in value per grid step.
+
+    Returns ``rise = v - v[p]``, ``dist = |q - p|`` (1 at ``p`` so slopes stay
+    finite) and per ``q`` the bounds ``lower``/``upper``: a chord towards ``q``
+    with slope ``s`` stays on or above ``v - slack`` at every grid point
+    strictly between iff ``s >= lower[q]``, and on or below ``v + slack`` iff
+    ``s <= upper[q]`` (in exact arithmetic).  With no grid point between, the
+    bounds are infinite.
+    """
+    dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
+    dist[p] = 1.0
+    rise = v - v[p]
+    lower = np.full(v.size, -np.inf)
+    upper = np.full(v.size, np.inf)
+    # right side, then left side, each as a view walking outward from p
+    sides = [(a[p + 1:], a[:p][::-1]) for a in (rise, dist, lower, upper)]
+    for r, d, lo, up in zip(*sides):
+        np.maximum.accumulate((r[:-1] - slack) / d[:-1], out=lo[1:])
+        np.minimum.accumulate((r[:-1] + slack) / d[:-1], out=up[1:])
+    return rise, dist, lower, upper
+
+
+def _chord_one_sided(v: np.ndarray, p: int, q: int, margin: float) -> bool:
+    """The chord from ``p`` to ``q``, evaluated at every grid point between, is one-sided."""
+    lo, hi = (p, q) if p < q else (q, p)
+    between = np.arange(lo + 1, hi)
+    t = (between - p) / (q - p)
+    chord = v[p] + (v[q] - v[p]) * t
+    seg = v[between]
+    return bool(np.all(chord >= seg - margin)) or bool(np.all(chord <= seg + margin))
+
+
 def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
 
     Chords are evaluated only at grid abscissas strictly between the endpoints,
-    with a one-sided slack of ``tol.abs + tol.rel * max|v|``.
+    with a one-sided slack of ``tol.abs + tol.rel * max|v|``.  O(N) time and
+    memory: one slope test per chord, and an ordinate check for the chords
+    that fail it or pass it only within rounding.
     """
     tol = tol or Tolerance()
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
-    margin = tol.grid_slack(f.values)
-    for q in range(v.size):
-        lo, hi = (p, q) if p < q else (q, p)
-        if hi - lo < 2:
-            continue
-        between = np.arange(lo + 1, hi)
-        t = (between - p) / (q - p)
-        chord = v[p] + (v[q] - v[p]) * t
-        seg = v[between]
-        in_epi = bool(np.all(chord >= seg - margin))
-        in_hypo = bool(np.all(chord <= seg + margin))
-        if not (in_epi or in_hypo):
-            return False
-    return True
+    margin = tol.grid_slack(v)
+    band = _rounding_band(v, margin)
+    rise, dist, lower, upper = _chord_bounds(v, p, margin - band)
+    slope = rise / dist
+    # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
+    # so a chord this far past both bounds fails the ordinate test
+    if np.any((slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)):
+        return False
+    undecided = np.flatnonzero(~((slope >= lower) | (slope <= upper)))  # NaN: undecided
+    return all(_chord_one_sided(v, p, int(q), margin) for q in undecided)
 
 
-def central_set(
-    f: GridFunction, tol: Tolerance | None = None, max_scan: int = DEFAULT_MAX_SCAN
-) -> StarReport:
-    """All centers with their curvature classes (cubic scan in the grid size)."""
+def central_set(f: GridFunction, tol: Tolerance | None = None) -> StarReport:
+    """All centers with their curvature classes (O(N^2) time, O(N) memory)."""
     tol = tol or Tolerance()
-    if f.n > max_scan:
-        raise GridError(
-            f"grid has {f.n} intervals, above the scan cap {max_scan}; "
-            "raise max_scan to force the cubic scan"
-        )
     centers = tuple(p for p in range(f.values.size) if is_center(f, p, tol))
     classes = {p: classify_shape(f, p, tol) for p in centers}
     return StarReport(
@@ -254,37 +301,58 @@ def region_star_check(
     )
     cp = float(v[center_p])
 
-    for q in range(size):
-        if kinds[q] == 1:
-            selected = levels[levels >= v[q]]
-        elif kinds[q] == -1:
-            selected = levels[levels <= v[q]]
-        else:
-            selected = levels
-        lo, hi = (center_p, q) if center_p < q else (q, center_p)
-        if hi - lo < 2 or selected.size == 0:
-            continue
-        between = np.arange(lo + 1, hi)
-        frac = (between - center_p) / (q - center_p)
-        seg = cp + np.outer(selected - cp, frac)  # levels x crossings
-        col_kinds = kinds[between]
-        ok = np.where(
-            col_kinds == 1,
-            seg >= v[between] - margin,
-            np.where(col_kinds == -1, seg <= v[between] + margin, True),
-        )
-        bad = np.argwhere(~ok)
-        if bad.size:
-            li, mi = bad[0]
-            m_idx = int(between[mi])
-            return RegionCheckReport(
-                ok=False,
-                witness=StarWitness(
-                    column=q,
-                    level=float(selected[li]),
-                    crossing=m_idx,
-                    segment_value=float(seg[li, mi]),
-                    graph_value=float(v[m_idx]),
-                ),
-            )
+    # The crossings of a column lie on its side of the center and share its
+    # kind, and a segment's slope grows with its level: an epigraph column
+    # holds iff its lowest selected level does, a hypograph column iff its
+    # highest does.  Columns not surely holding get the sampled check.
+    _, dist, lower, upper = _chord_bounds(v, center_p, margin - _rounding_band(v, margin))
+    ordered = np.sort(levels)  # searchsorted needs ascending levels
+    lowest = ordered[np.minimum(np.searchsorted(ordered, v, "left"), ordered.size - 1)]
+    highest = ordered[np.maximum(np.searchsorted(ordered, v, "right") - 1, 0)]
+    clear = np.where(
+        kinds == 1,
+        (lowest - cp) / dist >= lower,
+        (kinds == -1) & ((highest - cp) / dist <= upper),
+    )
+    for q in np.flatnonzero(~clear):
+        witness = _column_witness(v, kinds, levels, center_p, int(q), margin)
+        if witness is not None:
+            return RegionCheckReport(ok=False, witness=witness)
     return RegionCheckReport(ok=True, witness=None)
+
+
+def _column_witness(
+    v: np.ndarray, kinds: np.ndarray, levels: np.ndarray, p: int, q: int, margin: float
+) -> StarWitness | None:
+    """First failing sample of column ``q`` (level, then crossing), or ``None``."""
+    if kinds[q] == 1:
+        selected = levels[levels >= v[q]]
+    elif kinds[q] == -1:
+        selected = levels[levels <= v[q]]
+    else:
+        selected = levels
+    lo, hi = (p, q) if p < q else (q, p)
+    if hi - lo < 2 or selected.size == 0:
+        return None
+    cp = float(v[p])
+    between = np.arange(lo + 1, hi)
+    frac = (between - p) / (q - p)
+    seg = cp + np.outer(selected - cp, frac)  # levels x crossings
+    col_kinds = kinds[between]
+    ok = np.where(
+        col_kinds == 1,
+        seg >= v[between] - margin,
+        np.where(col_kinds == -1, seg <= v[between] + margin, True),
+    )
+    bad = np.argwhere(~ok)
+    if not bad.size:
+        return None
+    li, mi = bad[0]
+    m_idx = int(between[mi])
+    return StarWitness(
+        column=q,
+        level=float(selected[li]),
+        crossing=m_idx,
+        segment_value=float(seg[li, mi]),
+        graph_value=float(v[m_idx]),
+    )

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ class TestTolerance:
         for tol in (fc.Tolerance(), fc.Tolerance(abs=0.0, rel=0.0), fc.Tolerance(0.1, 0.5)):
             expected = [tol.leq(float(a), float(b)) for a, b in zip(x, y)]
             assert tol.leq_array(x, y).tolist() == expected
+
+
+class TestWitness:
+    def test_slotted_witness_pickles_and_hashes(self):
+        w = fc.Witness(indices=(2, 3), lhs=1.5, rhs=0.5)
+        assert not hasattr(w, "__dict__")
+        assert pickle.loads(pickle.dumps(w)) == w
+        assert hash(w) == hash(fc.Witness(indices=(2, 3), lhs=1.5, rhs=0.5))
+        with pytest.raises(AttributeError):
+            w.lhs = 0.0
 
 
 class TestGridFunction:
@@ -207,6 +218,10 @@ class TestCsv:
         path = tmp_path / "f.csv"
         path.write_text("0,0\n1,1\n2.5,4\n")
         with pytest.raises(fc.GridError, match="line 3"):
+            read_csv(path)
+        # two bad rows: the earlier one in file order is named
+        path.write_text("0,0\n1,1\n2,4\n3.5,9\n4,16\n5.5,25\n")
+        with pytest.raises(fc.GridError, match="line 4: non-uniform spacing, x=3.5 "):
             read_csv(path)
 
     def test_decreasing_x_rejected(self, tmp_path):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import funclass as fc
-from funclass.oracle import center_check_hires
+from funclass.oracle import (
+    center_check_hires,
+    is_center_bruteforce,
+    region_star_check_bruteforce,
+)
 from funclass.starconvex import RegionKind, RegionSpec, ShapeClass
 
 PI = math.pi
@@ -77,11 +81,13 @@ class TestCentralSet:
         assert set(rep.per_center_class) == set(rep.centers)
         assert all(c is ShapeClass.CONVEX_CONVEX for c in rep.per_center_class.values())
 
-    def test_scan_cap(self):
+    def test_large_constant_grid_is_all_centers(self):
         f = fc.GridFunction(0.0, 1.0, np.zeros(600))
-        with pytest.raises(fc.GridError, match="max_scan"):
-            fc.central_set(f)
-        assert fc.central_set(f, max_scan=600).is_star_convex
+        assert fc.central_set(f).centers == tuple(range(600))
+
+    def test_large_sine_keeps_its_middle_center(self):
+        f = fc.sample("sin(x)", 0, 2 * PI / 2048, 2049)
+        assert 1024 in fc.central_set(f).centers
 
     def test_json_shape(self, cube):
         d = fc.central_set(cube).to_dict()
@@ -253,3 +259,62 @@ class TestHiresOracle:
         assert fc.is_center(cube, 7) and fc.is_center(cube, 9)
         assert center_check_hires("x^3", cube, 7) is False
         assert center_check_hires("x^3", cube, 9) is False
+
+
+def oracle_grids():
+    """Grids whose chords sit on, near and far from the slope bounds."""
+    rng = np.random.default_rng(89)
+    grids = [f for _, f in catalog()]
+    for n in (2, 3, 9, 17, 33, 40):
+        x = np.linspace(-1.0, 1.0, n)
+        for values in (
+            # collinear, not dyadic: at zero tolerance slopes and chord
+            # ordinates round apart, and only the rounding band keeps the verdicts
+            0.1 * np.arange(n),
+            0.3 + 0.1 * np.arange(n),
+            rng.normal(size=n),
+            rng.integers(-3, 4, n).astype(float),  # exact ties
+            np.round(x**3, 2),
+            np.sin(3.0 * x),
+            1e6 * x**2,
+        ):
+            grids.append(fc.GridFunction(-1.0, 2.0 / (n - 1), values))
+    return grids
+
+
+ORACLE_TOLERANCES = [
+    fc.Tolerance(),
+    fc.Tolerance(0.0, 0.0),
+    fc.Tolerance(1e-3, 0.0),
+    fc.Tolerance(0.0, 1e-12),
+]
+
+
+class TestAgainstBruteforce:
+    @pytest.mark.parametrize("tol", ORACLE_TOLERANCES, ids=repr)
+    def test_centers_match_every_chord_scan(self, tol):
+        for f in oracle_grids():
+            indices = range(f.values.size)
+            want = tuple(p for p in indices if is_center_bruteforce(f, p, tol))
+            assert tuple(p for p in indices if fc.is_center(f, p, tol)) == want, f
+            rep = fc.central_set(f, tol)
+            assert rep.centers == want
+            assert rep.per_center_class == {p: fc.classify_shape(f, p, tol) for p in want}
+
+    @pytest.mark.parametrize("tol", ORACLE_TOLERANCES, ids=repr)
+    @pytest.mark.parametrize(
+        "extent, samples", [(1.0, 64), (0.01, 2), (5.0, 7), (1e-9, 33)]
+    )
+    def test_region_reports_match_every_sample_scan(self, tol, extent, samples):
+        for f in oracle_grids():
+            size = f.values.size
+            for p in sorted({0, size // 3, size // 2, size - 1}):
+                for kind in RegionKind:
+                    spec = RegionSpec(
+                        kind,
+                        split_index=p if kind.value.startswith("split") else None,
+                        vertical_extent=extent,
+                        vertical_samples=samples,
+                    )
+                    got = fc.region_star_check(f, spec, p, tol)
+                    assert got == region_star_check_bruteforce(f, spec, p, tol), (f, spec, p)
