@@ -5,6 +5,13 @@ Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
 errors.  Tolerances default from the environment variables FUNCLASS_TOL_ABS
 and FUNCLASS_TOL_REL; flags override both.
+
+``COMMANDS`` is the one table of commands: it drives both the parser and the
+dispatch, so adding a command means adding one entry (name, help, handler,
+flags).  A handler returns whether the property holds, the JSON report and
+any plot columns beyond ``x`` and ``f``; columns that include ``x`` replace
+those two.  Commands that take ``--d`` find it validated against the grid as
+the ``PeriodSpec`` ``args.period``, and their reports start with ``d`` and ``w``.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +31,25 @@ from .expr import EvalError, ParseError
 from .grid import GridError, GridFunction, Tolerance, read_csv, sample
 
 __all__ = ["build_parser", "main", "run"]
+
+Columns = dict[str, np.ndarray]
+Outcome = tuple[bool, dict, Columns]
+Flag = tuple[tuple[str, ...], dict]  # add_argument's names and options
+
+
+def _flag(*names: str, **options) -> Flag:
+    return names, options
+
+
+ORDER = _flag("--n", type=int, required=True, help="order n (1..60)")
+PERIOD = _flag("--d", type=float, required=True, help="period (whole steps)")
+INDEX = _flag("--p", type=int, required=True, help="center or split grid index")
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[GridFunction, argparse.Namespace, Tolerance], Outcome]
+    flags: tuple[Flag, ...] = ()
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -42,6 +69,150 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                    help="also write per-point columns to this CSV path")
 
 
+# Handlers look library functions up through their modules at call time, so
+# anything that patches a module attribute also sees the CLI's calls.
+def _check_order(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    rep = subadd.check_order(f, args.n, tol)
+    return rep.holds, rep.to_dict(), {}
+
+
+def _min_order(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    rep = subadd.minimal_order(f, args.n_max, tol)
+    return rep.minimal_order is not None, rep.to_dict(), {}
+
+
+def _root(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    g = subadd.nth_root_transform(f, args.n)
+    rep = subadd.check_order(g, 1, tol)
+    return rep.holds, {"transform": "root", "n": args.n, **rep.to_dict()}, {"root": g.values}
+
+
+def _ratio(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    g = subadd.ratio_transform(f, args.n)
+    rep = subadd.check_order_offset(g, 1, tol)
+    out = {"transform": "ratio", "n": args.n, **rep.to_dict()}
+    return rep.holds, out, {"x": g.xs(), "g": g.values}
+
+
+def _weak_bound(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    rep = subadd.check_weak_bound(f, args.n, tol)
+    return rep.holds, rep.to_dict(), {}
+
+
+def _power_fit(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    fit = subadd.fit_power(f, args.n)
+    holds = fit.max_residual <= tol.grid_slack(f.values)
+    return holds, {"n": args.n, "c": fit.c, "max_residual": fit.max_residual, "holds": holds}, {}
+
+
+def _minorant(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    res = subadd.subadditive_minorant(f, tol)
+    out = {
+        "defect": res.defect,
+        "bounded_variation": res.bounded_variation,
+        "sigma_subadditive": subadd.check_order(res.sigma, 1, tol).holds,
+        "sigma": res.sigma.values.tolist(),
+        "residual": res.residual.values.tolist(),
+    }
+    return True, out, {"sigma": res.sigma.values, "residual": res.residual.values}
+
+
+def _periodic_check(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    verdict = periodic.is_periodically_increasing(f, args.period, tol)
+    out = {
+        "periodic_increasing": verdict.holds,
+        "witnesses": [w.to_dict() for w in verdict.witnesses],
+    }
+    return verdict.holds, out, {}
+
+
+def _heights(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    prof = periodic.heights(f, args.period)
+    out = {
+        "heights": {"global": prof.overall, "global_d": prof.global_d},
+        "window_heights": prof.window_heights.tolist(),
+    }
+    return True, out, {"window_height": prof.window_heights}
+
+
+def _periodic_minorant(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    tilde = periodic.greatest_periodic_minorant(f, args.period)
+    return True, {"f_tilde": tilde.values.tolist()}, {"f_tilde": tilde.values}
+
+
+def _envelope(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    env = periodic.envelopes(f)
+    hat = periodic.check_hat_bound(f, args.period, tol)
+    out = {"hat_bound": {"bound": hat.bound, "sup_err": hat.sup_err, "holds": hat.holds}}
+    return hat.holds, out, {name: g.values for name, g in env._asdict().items()}
+
+
+def _decompose(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    dec = periodic.decompose(f, args.period, tol)
+    out = {
+        "decomposition": {"l": dec.l, "h_periodicity_error": dec.periodicity_error},
+        "g": dec.g.values.tolist(),
+        "h": dec.h.values.tolist(),
+    }
+    return True, out, {"g": dec.g.values, "h": dec.h.values}
+
+
+def _star_centers(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    rep = starconvex.central_set(f, tol)
+    center = np.zeros(f.values.size)
+    center[list(rep.centers)] = 1.0
+    return rep.is_star_convex, rep.to_dict(), {"center": center}
+
+
+def _star_classify(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    cls = starconvex.classify_shape(f, args.p, tol)
+    return cls is not starconvex.ShapeClass.MIXED, {"p": args.p, "class": cls.value}, {}
+
+
+def _star_region(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
+    kind = starconvex.RegionKind(args.kind)
+    split = args.p if kind.is_split else None
+    region = starconvex.RegionSpec(kind, split, args.vertical_extent, args.vertical_samples)
+    rep = starconvex.region_star_check(f, region, args.p, tol)
+    check = {
+        "kind": kind.value,
+        "p": args.p,
+        "ok": rep.ok,
+        "witness": rep.witness.to_dict() if rep.witness else None,
+    }
+    return rep.ok, {"region_checks": [check]}, {}
+
+
+COMMANDS: dict[str, Command] = {
+    "check-order": Command("decide subadditivity of a given order", _check_order, (ORDER,)),
+    "min-order": Command("smallest passing subadditivity order", _min_order, (
+        _flag("--n-max", dest="n_max", type=int, required=True, help="largest order to consider"),
+    )),
+    "root": Command("n-th root transform, then order-1 check", _root, (ORDER,)),
+    "ratio": Command("divide by x^n, then order-1 check on the shifted grid", _ratio, (ORDER,)),
+    "weak-bound": Command(
+        "coefficient-free relaxation with factor 2^n - 1", _weak_bound, (ORDER,)),
+    "power-fit": Command("least-squares c*x^n fit and symmetry residual", _power_fit, (ORDER,)),
+    "minorant": Command("largest subadditive minorant, residual, and defect", _minorant),
+    "periodic-check": Command(
+        "is the function increasing by the period d", _periodic_check, (PERIOD,)),
+    "heights": Command(
+        "sliding-window and global oscillation for period d", _heights, (PERIOD,)),
+    "periodic-minorant": Command(
+        "greatest d-periodically increasing minorant", _periodic_minorant, (PERIOD,)),
+    "envelope": Command("monotone envelopes and the half-height bound", _envelope, (PERIOD,)),
+    "decompose": Command("split into increasing plus d-periodic parts", _decompose, (PERIOD,)),
+    "star-centers": Command("central set and per-center curvature classes", _star_centers),
+    "star-classify": Command("curvature pattern around a split index", _star_classify, (INDEX,)),
+    "star-region": Command("sampled star-shape test of a graph region", _star_region, (
+        _flag("--kind", required=True, choices=[k.value for k in starconvex.RegionKind]),
+        INDEX,
+        _flag("--vertical-extent", dest="vertical_extent", type=float, default=1.0),
+        _flag("--vertical-samples", dest="vertical_samples", type=int, default=64),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="funclass",
@@ -49,60 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         "periodic monotonicity, and star-convexity.",
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         _add_source_args(p)
-        return p
-
-    p = command("check-order", "decide subadditivity of a given order")
-    p.add_argument("--n", type=int, required=True, help="order to test (1..60)")
-
-    p = command("min-order", "smallest passing subadditivity order")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True,
-                   help="largest order to consider")
-
-    p = command("root", "n-th root transform, then order-1 check")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("ratio", "divide by x^n, then order-1 check on the shifted grid")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("weak-bound", "coefficient-free relaxation with factor 2^n - 1")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("power-fit", "least-squares c*x^n fit and symmetry residual")
-    p.add_argument("--n", type=int, required=True)
-
-    command("minorant", "largest subadditive minorant, residual, and defect")
-
-    p = command("periodic-check", "is the function increasing by the period d")
-    p.add_argument("--d", type=float, required=True, help="period (whole steps)")
-
-    p = command("heights", "sliding-window and global oscillation for period d")
-    p.add_argument("--d", type=float, required=True)
-
-    p = command("periodic-minorant", "greatest d-periodically increasing minorant")
-    p.add_argument("--d", type=float, required=True)
-
-    p = command("envelope", "monotone envelopes and the half-height bound")
-    p.add_argument("--d", type=float, required=True)
-
-    p = command("decompose", "split into increasing plus d-periodic parts")
-    p.add_argument("--d", type=float, required=True)
-
-    command("star-centers", "central set and per-center curvature classes")
-
-    p = command("star-classify", "curvature pattern around a split index")
-    p.add_argument("--p", type=int, required=True, help="split grid index")
-
-    p = command("star-region", "sampled star-shape test of a graph region")
-    p.add_argument("--kind", required=True,
-                   choices=[k.value for k in starconvex.RegionKind])
-    p.add_argument("--p", type=int, required=True, help="center grid index")
-    p.add_argument("--vertical-extent", dest="vertical_extent", type=float, default=1.0)
-    p.add_argument("--vertical-samples", dest="vertical_samples", type=int, default=64)
-
+        for names, options in command.flags:
+            p.add_argument(*names, **options)
     return ap
 
 
@@ -127,164 +249,25 @@ def _load_grid(args: argparse.Namespace) -> GridFunction:
     return sample(args.expr, args.from_, step, args.samples)
 
 
-def _floats(a: np.ndarray) -> list[float]:
-    return [float(v) for v in a]
-
-
-def _write_plot_csv(path: str, columns: dict[str, Sequence[float]]) -> None:
+def _write_plot_csv(path: str, columns: Columns) -> None:
     names = list(columns)
-    rows = zip(*(columns[name] for name in names))
+    rows = zip(*(columns[name].tolist() for name in names))
     lines = [",".join(names)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
+    lines.extend(",".join(repr(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[int, dict, dict]:
+def _dispatch(args: argparse.Namespace) -> tuple[int, dict, Columns]:
     tol = _tolerance(args)
     f = _load_grid(args)
-    plot: dict[str, Sequence[float]] = {"x": _floats(f.xs()), "f": _floats(f.values)}
-    cmd = args.command
-
-    if cmd == "check-order":
-        rep = subadd.check_order(f, args.n, tol)
-        return (0 if rep.holds else 1), rep.to_dict(), plot
-
-    if cmd == "min-order":
-        rep = subadd.minimal_order(f, args.n_max, tol)
-        return (0 if rep.minimal_order is not None else 1), rep.to_dict(), plot
-
-    if cmd == "root":
-        g = subadd.nth_root_transform(f, args.n)
-        rep = subadd.check_order(g, 1, tol)
-        out = {"transform": "root", "n": args.n, **rep.to_dict()}
-        plot["root"] = _floats(g.values)
-        return (0 if rep.holds else 1), out, plot
-
-    if cmd == "ratio":
-        g = subadd.ratio_transform(f, args.n)
-        rep = subadd.check_order_offset(g, 1, tol)
-        out = {"transform": "ratio", "n": args.n, **rep.to_dict()}
-        plot = {"x": _floats(g.xs()), "g": _floats(g.values)}
-        return (0 if rep.holds else 1), out, plot
-
-    if cmd == "weak-bound":
-        rep = subadd.check_weak_bound(f, args.n, tol)
-        return (0 if rep.holds else 1), rep.to_dict(), plot
-
-    if cmd == "power-fit":
-        fit = subadd.fit_power(f, args.n)
-        holds = fit.max_residual <= tol.grid_slack(f.values)
-        out = {"n": args.n, "c": fit.c, "max_residual": fit.max_residual, "holds": holds}
-        return (0 if holds else 1), out, plot
-
-    if cmd == "minorant":
-        res = subadd.subadditive_minorant(f, tol)
-        cert = subadd.check_order(res.sigma, 1, tol).holds
-        out = {
-            "defect": res.defect,
-            "bounded_variation": res.bounded_variation,
-            "sigma_subadditive": cert,
-            "sigma": _floats(res.sigma.values),
-            "residual": _floats(res.residual.values),
-        }
-        plot["sigma"] = _floats(res.sigma.values)
-        plot["residual"] = _floats(res.residual.values)
-        return 0, out, plot
-
-    # periodic commands share the validated period
-    if cmd in ("periodic-check", "heights", "periodic-minorant", "envelope", "decompose"):
-        spec = periodic.PeriodSpec.for_grid(f, args.d, tol)
-
-    if cmd == "periodic-check":
-        verdict = periodic.is_periodically_increasing(f, spec, tol)
-        out = {
-            "d": spec.d,
-            "w": spec.w,
-            "periodic_increasing": verdict.holds,
-            "witnesses": [w.to_dict() for w in verdict.witnesses],
-        }
-        return (0 if verdict.holds else 1), out, plot
-
-    if cmd == "heights":
-        prof = periodic.heights(f, spec)
-        out = {
-            "d": spec.d,
-            "w": spec.w,
-            "heights": {"global": prof.overall, "global_d": prof.global_d},
-            "window_heights": _floats(prof.window_heights),
-        }
-        plot["window_height"] = _floats(prof.window_heights)
-        return 0, out, plot
-
-    if cmd == "periodic-minorant":
-        tilde = periodic.greatest_periodic_minorant(f, spec)
-        out = {"d": spec.d, "w": spec.w, "f_tilde": _floats(tilde.values)}
-        plot["f_tilde"] = _floats(tilde.values)
-        return 0, out, plot
-
-    if cmd == "envelope":
-        env = periodic.envelopes(f)
-        hat = periodic.check_hat_bound(f, spec, tol)
-        out = {
-            "d": spec.d,
-            "w": spec.w,
-            "hat_bound": {"bound": hat.bound, "sup_err": hat.sup_err, "holds": hat.holds},
-        }
-        plot["f_lower"] = _floats(env.f_lower.values)
-        plot["f_upper"] = _floats(env.f_upper.values)
-        plot["f_hat"] = _floats(env.f_hat.values)
-        return (0 if hat.holds else 1), out, plot
-
-    if cmd == "decompose":
-        dec = periodic.decompose(f, spec, tol)
-        out = {
-            "d": spec.d,
-            "w": spec.w,
-            "decomposition": {"l": dec.l, "h_periodicity_error": dec.periodicity_error},
-            "g": _floats(dec.g.values),
-            "h": _floats(dec.h.values),
-        }
-        plot["g"] = _floats(dec.g.values)
-        plot["h"] = _floats(dec.h.values)
-        return 0, out, plot
-
-    if cmd == "star-centers":
-        rep = starconvex.central_set(f, tol)
-        centers = set(rep.centers)
-        plot["center"] = [1.0 if i in centers else 0.0 for i in range(f.values.size)]
-        return (0 if rep.is_star_convex else 1), rep.to_dict(), plot
-
-    if cmd == "star-classify":
-        cls = starconvex.classify_shape(f, args.p, tol)
-        out = {"p": args.p, "class": cls.value}
-        return (0 if cls is not starconvex.ShapeClass.MIXED else 1), out, plot
-
-    if cmd == "star-region":
-        kind = starconvex.RegionKind(args.kind)
-        split = args.p if kind in (
-            starconvex.RegionKind.SPLIT_EPI_HYPO,
-            starconvex.RegionKind.SPLIT_HYPO_EPI,
-        ) else None
-        region = starconvex.RegionSpec(
-            kind=kind,
-            split_index=split,
-            vertical_extent=args.vertical_extent,
-            vertical_samples=args.vertical_samples,
-        )
-        rep = starconvex.region_star_check(f, region, args.p, tol)
-        out = {
-            "region_checks": [
-                {
-                    "kind": kind.value,
-                    "p": args.p,
-                    "ok": rep.ok,
-                    "witness": rep.witness.to_dict() if rep.witness else None,
-                }
-            ]
-        }
-        return (0 if rep.ok else 1), out, plot
-
-    raise GridError(f"unknown command {cmd!r}")
+    command = COMMANDS[args.command]
+    period = periodic.PeriodSpec.for_grid(f, args.d, tol) if PERIOD in command.flags else None
+    args.period = period
+    holds, report, columns = command.handler(f, args, tol)
+    if period is not None:
+        report = {"d": period.d, "w": period.w, **report}
+    plot = columns if "x" in columns else {"x": f.xs(), "f": f.values, **columns}
+    return (0 if holds else 1), report, plot
 
 
 def run(argv: Sequence[str] | None = None) -> int:

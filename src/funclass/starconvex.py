@@ -15,7 +15,9 @@ in the hypograph iff it is at most the smallest ``(v[m] - v[p] + margin) /
 chord from ``p``, so a center costs O(N) and the central set O(N^2).  Slopes
 round differently from the chord ordinates, so the slope test runs with a
 slack a few ulps of ``2 * max|v| + margin`` smaller, and a chord it does not
-pass is decided by evaluating its ordinates, as the definition reads.
+pass is decided by evaluating its ordinates, as the definition reads.  A chord
+that passes only over points equal to ``v[p]`` needs no such check: its
+ordinates round to one side of ``v[p]``, so it is one-sided at any slack.
 
 ``classify_shape`` reads the one-sided curvature at a split point from second
 differences; the four two-sided sign patterns correspond to epigraph or
@@ -73,6 +75,11 @@ class RegionKind(str, enum.Enum):
     SPLIT_EPI_HYPO = "split-epi-hypo"  # epigraph left of the split, hypograph right
     SPLIT_HYPO_EPI = "split-hypo-epi"  # hypograph left of the split, epigraph right
 
+    @property
+    def is_split(self) -> bool:
+        """Epigraph on one side of a split index and hypograph on the other."""
+        return self in (RegionKind.SPLIT_EPI_HYPO, RegionKind.SPLIT_HYPO_EPI)
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -89,9 +96,8 @@ class RegionSpec:
     vertical_samples: int = 64
 
     def __post_init__(self) -> None:
-        if self.kind in (RegionKind.SPLIT_EPI_HYPO, RegionKind.SPLIT_HYPO_EPI):
-            if self.split_index is None:
-                raise GridError(f"region kind {self.kind.value!r} requires split_index")
+        if self.kind.is_split and self.split_index is None:
+            raise GridError(f"region kind {self.kind.value!r} requires split_index")
         if not self.vertical_extent > 0.0:
             raise GridError(f"vertical_extent must be > 0, got {self.vertical_extent!r}")
         if self.vertical_samples < 2:
@@ -182,13 +188,25 @@ def _chord_one_sided(v: np.ndarray, p: int, q: int, margin: float) -> bool:
     return bool(np.all(chord >= seg - margin)) or bool(np.all(chord <= seg + margin))
 
 
+def _flat_reach(v: np.ndarray, p: int) -> tuple[int, int]:
+    """The widest ``[lo, hi]`` around ``p`` whose chords from ``p`` pass only over
+    grid points equal to ``v[p]``.
+    """
+    changes = np.flatnonzero(v != v[p])
+    k = int(np.searchsorted(changes, p))
+    lo = int(changes[k - 1]) if k > 0 else 0
+    hi = int(changes[k]) if k < changes.size else v.size - 1
+    return lo, hi
+
+
 def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
 
     Chords are evaluated only at grid abscissas strictly between the endpoints,
     with a one-sided slack of ``tol.abs + tol.rel * max|v|``.  O(N) time and
     memory: one slope test per chord, and an ordinate check for the chords
-    that fail it or pass it only within rounding.
+    that fail it or pass it only within rounding, unless every point they pass
+    over equals ``v[p]``.
     """
     tol = tol or Tolerance()
     v = f.values
@@ -203,6 +221,11 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     if np.any((slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)):
         return False
     undecided = np.flatnonzero(~((slope >= lower) | (slope <= upper)))  # NaN: undecided
+    if undecided.size:
+        # Over a stretch where v equals v[p] exactly, the chord ordinates
+        # v[p] + rise * t round to one side of v[p], so any slack >= 0 holds.
+        lo, hi = _flat_reach(v, p)
+        undecided = undecided[(undecided < lo) | (undecided > hi)]
     return all(_chord_one_sided(v, p, int(q), margin) for q in undecided)
 
 
@@ -284,11 +307,8 @@ def region_star_check(
     size = v.size
     if not 0 <= center_p < size:
         raise GridError(f"center index {center_p} out of range [0, {size - 1}]")
-    if region.kind in (RegionKind.SPLIT_EPI_HYPO, RegionKind.SPLIT_HYPO_EPI):
-        if region.split_index != center_p:
-            raise GridError(
-                f"split_index {region.split_index} must equal the center {center_p}"
-            )
+    if region.kind.is_split and region.split_index != center_p:
+        raise GridError(f"split_index {region.split_index} must equal the center {center_p}")
     if region.split_index is not None and not 0 <= region.split_index < size:
         raise GridError(f"split index {region.split_index} out of range")
 

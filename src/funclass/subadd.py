@@ -131,6 +131,14 @@ def _offset_multiple(f: GridFunction) -> int:
         )
     return m
 
+
+def _require_zero_origin(f: GridFunction) -> None:
+    if f.origin != 0.0:
+        raise GridError(
+            f"grid must start at 0, got origin {f.origin!r}; re-sample the function from 0"
+        )
+
+
 def _require_non_negative(f: GridFunction) -> None:
     bad = np.flatnonzero(f.values < 0.0)
     if bad.size:
@@ -195,11 +203,7 @@ def check_order(f: GridFunction, n: int, tol: Tolerance | None = None) -> Subadd
     ``y = 0`` are skipped.  Violations are reported sorted by ``(i, j)``.
     """
     _validate_order(n)
-    if f.origin != 0.0:
-        raise GridError(
-            f"grid must start at 0 for subadditivity checks, got origin {f.origin!r}; "
-            "re-sample the function from 0"
-        )
+    _require_zero_origin(f)
     return _order_report(f, n, tol, 0)
 
 
@@ -273,10 +277,7 @@ def ratio_transform(f: GridFunction, n: int) -> GridFunction:
     to the step and one fewer sample.
     """
     _validate_order(n)
-    if f.origin != 0.0:
-        raise GridError(
-            f"grid must start at 0 for the ratio transform, got origin {f.origin!r}"
-        )
+    _require_zero_origin(f)
     if f.values.size < 3:
         raise GridError("ratio transform needs at least 3 samples (2 beyond x = 0)")
     x = f.xs()[1:]
@@ -297,10 +298,7 @@ def check_weak_bound(
     """
     tol = tol or Tolerance()
     _validate_order(n)
-    if f.origin != 0.0:
-        raise GridError(
-            f"grid must start at 0 for subadditivity checks, got origin {f.origin!r}"
-        )
+    _require_zero_origin(f)
     _require_non_negative(f)
 
     v = f.values
@@ -323,8 +321,7 @@ def functional_equation_residual(f: GridFunction, n: int, i: int, j: int) -> flo
     if not isinstance(n, int) or n < 2:
         raise GridError(f"the symmetry equation needs integer n >= 2, got {n!r}")
     _validate_order(n)
-    if f.origin != 0.0:
-        raise GridError(f"grid must start at 0, got origin {f.origin!r}")
+    _require_zero_origin(f)
     size = f.values.size
     if i < 1 or j < 1:
         raise GridError(f"both indices must be >= 1 (x, y > 0), got i={i}, j={j}")
@@ -346,8 +343,7 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
     if not isinstance(n, int) or n < 2:
         raise GridError(f"power fit needs integer n >= 2, got {n!r}")
     _validate_order(n)
-    if f.origin != 0.0:
-        raise GridError(f"grid must start at 0, got origin {f.origin!r}")
+    _require_zero_origin(f)
     v = f.values
     size = v.size
     if size < 3:
@@ -378,10 +374,7 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance | None = None) -> Minor
     which case the residual is a difference of two monotone functions.
     """
     tol = tol or Tolerance()
-    if f.origin != 0.0:
-        raise GridError(
-            f"grid must start at 0 for the subadditive minorant, got origin {f.origin!r}"
-        )
+    _require_zero_origin(f)
     _require_non_negative(f)
 
     v = f.values

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from funclass.cli import run
+from funclass.cli import COMMANDS, run
 
 SIN_TO = repr(2 * math.pi)
 
@@ -299,6 +301,13 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
         got_plot = hashlib.sha256(plot.read_bytes()).hexdigest() if plot.exists() else None
         assert got_plot == plot_sha
+
+
+class TestCommandTable:
+    def test_readme_lists_every_command_with_its_help(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (.+) \|$", readme, re.MULTILINE)
+        assert dict(rows) == {name: command.help for name, command in COMMANDS.items()}
 
 
 class TestConsoleScript:

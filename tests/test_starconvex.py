@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import funclass as fc
+from funclass import starconvex
 from funclass.oracle import (
     center_check_hires,
     is_center_bruteforce,
@@ -84,6 +85,19 @@ class TestCentralSet:
     def test_large_constant_grid_is_all_centers(self):
         f = fc.GridFunction(0.0, 1.0, np.zeros(600))
         assert fc.central_set(f).centers == tuple(range(600))
+
+    def test_constant_grid_at_zero_tolerance_skips_the_ordinate_check(self, monkeypatch):
+        calls = []
+        chord_one_sided = starconvex._chord_one_sided
+
+        def counted(*args):
+            calls.append(args)
+            return chord_one_sided(*args)
+
+        monkeypatch.setattr(starconvex, "_chord_one_sided", counted)
+        f = fc.GridFunction(0.0, 1.0, np.ones(257))
+        assert fc.central_set(f, fc.Tolerance(0.0, 0.0)).centers == tuple(range(257))
+        assert calls == []
 
     def test_large_sine_keeps_its_middle_center(self):
         f = fc.sample("sin(x)", 0, 2 * PI / 2048, 2049)
@@ -277,8 +291,14 @@ def oracle_grids():
             np.round(x**3, 2),
             np.sin(3.0 * x),
             1e6 * x**2,
+            # flat chords: every chord from a plateau point sits on its slope bound
+            np.ones(n),
+            np.where(np.abs(np.arange(n) - 2 * n // 3) < 2, 1.5, 1.0),  # plateau plus bump
         ):
             grids.append(fc.GridFunction(-1.0, 2.0 / (n - 1), values))
+    # a plateau, then a point just above the chord from 0 to 4: the chord is
+    # undecided by slopes and is two-sided only because of that last point
+    grids.append(fc.GridFunction(0.0, 1.0, [0.0, 0.0, 0.0, 0.75 + 1e-14, 1.0]))
     return grids
 
 

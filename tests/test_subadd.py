@@ -66,8 +66,17 @@ class TestCheckOrder:
 
     def test_rejects_nonzero_origin(self):
         f = fc.GridFunction(1.0, 0.5, [0.0, 1.0, 2.0])
-        with pytest.raises(fc.GridError, match="re-sample"):
-            fc.check_order(f, 1)
+        calls = [
+            lambda: fc.check_order(f, 1),
+            lambda: fc.check_weak_bound(f, 1),
+            lambda: fc.ratio_transform(f, 1),
+            lambda: fc.functional_equation_residual(f, 2, 1, 1),
+            lambda: fc.fit_power(f, 2),
+            lambda: fc.subadditive_minorant(f),
+        ]
+        for call in calls:
+            with pytest.raises(fc.GridError, match="start at 0, got origin 1.0; re-sample"):
+                call()
 
     def test_rejects_negative_value_naming_index(self):
         f = fc.GridFunction(0.0, 0.5, [0.0, -1.0, 2.0])
