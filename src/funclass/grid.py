@@ -263,6 +263,14 @@ def write_csv(f: GridFunction, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte offset {exc.start}"
+        raise GridError(f"{path}: not UTF-8 text ({where})") from None
+
+
 def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     """Read a two-column ``x,y`` CSV (header optional) into a GridFunction.
 
@@ -271,7 +279,7 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     ``MAX_SPACING_DEVIATION`` steps.  The first offending line is reported.
     """
     tol = tol or Tolerance()
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     xs, ys, row_lines = array("d"), array("d"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -322,7 +330,7 @@ def write_json(f: GridFunction, path: str | Path) -> None:
 
 def read_json(path: str | Path) -> GridFunction:
     try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        d = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise GridError(f"invalid JSON: {exc}") from exc
     return GridFunction.from_dict(d)

@@ -8,6 +8,7 @@ The size cap keeps the exponential enumeration honest.
 ``pair_scan_bruteforce`` is the scalar double loop behind every
 subadditivity-family pair scan: one ``ratio_coefficient`` and one
 ``Tolerance.leq`` per pair, so the blocked kernel must match it bit for bit.
+``minimal_order_bruteforce`` runs that loop at every order from 1 upwards.
 ``periodic_witnesses_bruteforce`` rescans the suffix of every index with
 scalar comparisons and one ``Tolerance.leq``, the reference for the
 vectorised periodic witnesses.
@@ -32,6 +33,7 @@ from .subadd import ratio_coefficient
 __all__ = [
     "center_check_hires",
     "is_center_bruteforce",
+    "minimal_order_bruteforce",
     "minorant_bruteforce",
     "pair_scan_bruteforce",
     "periodic_check_bruteforce",
@@ -98,6 +100,16 @@ def pair_scan_bruteforce(
             if not tol.leq(lhs, rhs):
                 witnesses.append(Witness(indices=(a, b), lhs=lhs, rhs=rhs))
     return tuple(witnesses)
+
+
+def minimal_order_bruteforce(
+    f: GridFunction, n_max: int, tol: Tolerance | None = None
+) -> int | None:
+    """The first order ``k`` in ``[1, n_max]`` whose scalar pair scan finds no failure."""
+    for k in range(1, n_max + 1):
+        if pair_scan_bruteforce(f, k, tol) == ():
+            return k
+    return None
 
 
 def periodic_check_bruteforce(

@@ -88,6 +88,7 @@ class RegionSpec:
     ``vertical_extent`` pads the sampled value range above and below;
     ``vertical_samples`` levels are placed across that padded range.  Split
     kinds need ``split_index``; the split column belongs to both sides.
+    ``kind`` may also be given as its string value, such as ``"epi"``.
     """
 
     kind: RegionKind
@@ -96,6 +97,11 @@ class RegionSpec:
     vertical_samples: int = 64
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", RegionKind(self.kind))
+        except ValueError:
+            kinds = ", ".join(k.value for k in RegionKind)
+            raise GridError(f"unknown region kind {self.kind!r}; expected {kinds}") from None
         if self.kind.is_split and self.split_index is None:
             raise GridError(f"region kind {self.kind.value!r} requires split_index")
         if not self.vertical_extent > 0.0:

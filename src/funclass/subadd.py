@@ -3,8 +3,8 @@
 A non-negative function on a grid starting at 0 is subadditive of order ``n``
 when ``f(x+y) <= f(x) + r(x, y, n) * f(y)`` for every on-grid pair with
 ``y > 0``, where ``r(x, y, n) = ((x+y)^n - x^n) / y^n``.  Order 1 is ordinary
-subadditivity.  The order hierarchy is nested (order n implies order n+1), so
-the minimal passing order can be found by binary search.
+subadditivity.  The minimal passing order is found in one pass over the pairs
+that raises a candidate order while a pair fails it, then confirmed by one scan.
 
 The largest subadditive minorant ``sigma`` of ``f`` is the infimum of
 ``f(u_1) + ... + f(u_m)`` over grid partitions ``u_1 + ... + u_m = x``.  It is
@@ -184,15 +184,20 @@ def _violations(
     return tuple(found)
 
 
-def _order_report(f: GridFunction, n: int, tol: Tolerance | None, m: int) -> SubadditivityReport:
-    """Order-``n`` pair scan on a grid that starts ``m`` steps from 0."""
-    _require_non_negative(f)
-    v, x = f.values, f.xs()
+def _order_bound(v: np.ndarray, x: np.ndarray, n: int) -> PairBound:
+    """The order-``n`` right-hand side ``v[i] + r(x_i, x_j, n) * v[j]`` over one pair block."""
 
     def rhs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return v[rows] + _coefficient_poly(x[rows] / x[cols], n) * v[cols]
 
-    violations = _violations(v, m, m, max(m, 1), rhs, tol or Tolerance())
+    return rhs
+
+
+def _order_report(f: GridFunction, n: int, tol: Tolerance | None, m: int) -> SubadditivityReport:
+    """Order-``n`` pair scan on a grid that starts ``m`` steps from 0."""
+    _require_non_negative(f)
+    v = f.values
+    violations = _violations(v, m, m, max(m, 1), _order_bound(v, f.xs(), n), tol or Tolerance())
     return SubadditivityReport(order_tested=n, holds=not violations, violations=violations)
 
 
@@ -222,37 +227,30 @@ def check_order_offset(
 def minimal_order(
     f: GridFunction, n_max: int, tol: Tolerance | None = None
 ) -> SubadditivityReport:
-    """Smallest order in ``[1, n_max]`` at which ``f`` passes, if any.
+    """The smallest ``k`` in ``[1, n_max]`` with ``check_order(f, k, tol).holds``, if any.
 
-    Order nesting makes ``passes`` monotone in ``n``, so binary search applies;
-    the boundary is then reconfirmed with direct scans on both sides in case
-    tolerance noise perturbed the search.
+    One pass over the pair blocks starts at order 1 and, while some pair of a
+    block fails the current order, moves one order up (to at most ``n_max``).
+    Each order passed over has a failing pair, so none below the candidate holds.
+    The candidate is then confirmed by a full scan, moving one order up wherever
+    rounding breaks the nesting, so the result assumes no monotonicity in ``n``.
+    When no order holds, the failing order-``n_max`` report is returned.
     """
-    tol = tol or Tolerance()
     _validate_order(n_max)
-
-    cache: dict[int, SubadditivityReport] = {}
-
-    def report_at(k: int) -> SubadditivityReport:
-        if k not in cache:
-            cache[k] = check_order(f, k, tol)
-        return cache[k]
-
-    if not report_at(n_max).holds:
-        top = report_at(n_max)
-        return replace(top, minimal_order=None)
-
-    lo, hi = 1, n_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if report_at(mid).holds:
-            hi = mid
-        else:
-            lo = mid + 1
-    m = lo
-    while m > 1 and report_at(m - 1).holds:
-        m -= 1
-    return replace(report_at(m), minimal_order=m)
+    _require_zero_origin(f)
+    _require_non_negative(f)
+    tol = tol or Tolerance()
+    v, x = f.values, f.xs()
+    n = 1
+    for rows, cols in _pair_blocks(v.size, 0, 0, 1):
+        lhs = v[rows + cols]
+        while n < n_max and not np.all(tol.leq_array(lhs, _order_bound(v, x, n)(rows, cols))):
+            n += 1
+    while True:
+        report = check_order(f, n, tol)
+        if report.holds or n == n_max:
+            return replace(report, minimal_order=n if report.holds else None)
+        n += 1
 
 
 def nth_root_transform(f: GridFunction, n: int) -> GridFunction:
@@ -355,11 +353,10 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
         raise GridError(f"abscissa power x^{n} overflows on this grid")
     c = float(np.dot(v[1:], xn) / np.dot(xn, xn))
 
+    bound = _order_bound(v, x, n)
+
     def gap(rows: np.ndarray, cols: np.ndarray) -> float:
-        xa, xb, va, vb = x[rows], x[cols], v[rows], v[cols]
-        lhs = va + _coefficient_poly(xa / xb, n) * vb
-        rhs = vb + _coefficient_poly(xb / xa, n) * va
-        return np.max(np.abs(lhs - rhs))
+        return np.max(np.abs(bound(rows, cols) - bound(cols, rows)))
 
     return PowerFit(c, float(np.max([gap(*block) for block in _pair_blocks(size, 0, 1, 1)])))
 

@@ -39,6 +39,15 @@ class TestSources:
         assert code == 2
         assert "line 3" in err
 
+    def test_non_utf8_csv_exits_2_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"0,0\n1,\xff\n2,4\n")
+        code, out, err = invoke(capsys, ["heights", "--csv", str(path), "--d", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("funclass: error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_missing_csv_exits_2(self, capsys, tmp_path):
         code, _, _ = invoke(
             capsys, ["check-order", "--csv", str(tmp_path / "none.csv"), "--n", "1"]

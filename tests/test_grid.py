@@ -236,6 +236,12 @@ class TestCsv:
         with pytest.raises(fc.GridError):
             read_csv(path)
 
+    def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"x,y\n0,0\n1,\xff\n")
+        with pytest.raises(fc.GridError, match=r"latin\.csv: not UTF-8 text .* at byte offset 10"):
+            read_csv(path)
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):
@@ -252,4 +258,10 @@ class TestJson:
         path = tmp_path / "f.json"
         path.write_text('{"origin": 0.0, "values": [1, 2]}')
         with pytest.raises(fc.GridError):
+            read_json(path)
+
+    def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"origin": 0.0, "step": 1.0, "values": [1, 2]} \xff')
+        with pytest.raises(fc.GridError, match=r"latin\.json: not UTF-8 text"):
             read_json(path)

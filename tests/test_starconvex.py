@@ -185,6 +185,19 @@ class TestRegionStarCheck:
         with pytest.raises(fc.GridError, match="split_index"):
             RegionSpec(RegionKind.SPLIT_EPI_HYPO)
 
+    @pytest.mark.parametrize("kind", list(RegionKind))
+    def test_string_kind_is_coerced(self, sine, kind):
+        split = 16 if kind.is_split else None
+        spec = RegionSpec(kind.value, split_index=split)
+        assert spec.kind is kind
+        assert fc.region_star_check(sine, spec, 16) == fc.region_star_check(
+            sine, RegionSpec(kind, split_index=split), 16
+        )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(fc.GridError, match="unknown region kind 'bogus'"):
+            RegionSpec("bogus")
+
     def test_split_index_must_match_center(self, sine):
         spec = RegionSpec(RegionKind.SPLIT_HYPO_EPI, split_index=16)
         with pytest.raises(fc.GridError, match="must equal"):

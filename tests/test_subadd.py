@@ -5,7 +5,11 @@ import pytest
 
 import funclass as fc
 from funclass import subadd
-from funclass.oracle import minorant_bruteforce, pair_scan_bruteforce
+from funclass.oracle import (
+    minimal_order_bruteforce,
+    minorant_bruteforce,
+    pair_scan_bruteforce,
+)
 from support import random_nonneg_grid, random_order_subadditive
 
 
@@ -114,6 +118,71 @@ class TestMinimalOrder:
         assert rep.minimal_order is None
         assert not rep.holds
         assert rep.violations
+
+    @pytest.mark.parametrize(
+        "tol", [fc.Tolerance(), fc.Tolerance(0.0, 0.0), fc.Tolerance(1e-6, 1e-9)]
+    )
+    def test_matches_bruteforce_reference(self, tol):
+        rng = np.random.default_rng(5303)
+        seen = set()
+        for trial in range(36):
+            if trial % 3 == 0:
+                f = random_order_subadditive(rng, n_cap=5)
+            elif trial % 3 == 1:
+                f = random_nonneg_grid(rng, 20)
+            else:  # a power of x plus noise, near the boundary between two orders
+                x = np.arange(int(rng.integers(3, 20))) * 0.5
+                noise = rng.uniform(0.0, 0.1, x.size)
+                f = fc.GridFunction(0.0, 0.5, x ** rng.uniform(0.5, 4.0) + noise)
+            n_max = int(rng.integers(1, 7))
+            rep = fc.minimal_order(f, n_max, tol)
+            expected = minimal_order_bruteforce(f, n_max, tol)
+            assert rep.minimal_order == expected
+            assert rep.holds == (expected is not None)
+            assert rep.order_tested == (n_max if expected is None else expected)
+            if expected is None:
+                assert witness_bits(rep.violations) == witness_bits(
+                    pair_scan_bruteforce(f, n_max, tol)
+                )
+            else:
+                assert rep.violations == ()
+            seen.add(expected)
+        assert None in seen and len(seen - {None}) >= 3  # both outcomes, several orders
+
+    def test_one_confirming_scan(self, monkeypatch):
+        f = x_power_grid(2.5, step=1 / 64, count=1025)
+        probes = []
+        check_order = subadd.check_order
+
+        def counted(g, n, tol=None):
+            probes.append(n)
+            return check_order(g, n, tol)
+
+        monkeypatch.setattr(subadd, "check_order", counted)
+        assert fc.minimal_order(f, 8).minimal_order == 3
+        assert probes == [3]
+
+    def test_walks_up_when_the_candidate_scan_fails(self, monkeypatch):
+        # a confirming scan that disagrees with the pass (as rounding may) moves one order up
+        f = x_power_grid(2.5, step=1 / 64, count=65)
+        check_order = subadd.check_order
+
+        def no_order_three(g, n, tol=None):
+            rep = check_order(g, n, tol)
+            return subadd.SubadditivityReport(n, False, ()) if n == 3 else rep
+
+        monkeypatch.setattr(subadd, "check_order", no_order_three)
+        assert fc.minimal_order(f, 8).minimal_order == 4
+        assert fc.minimal_order(f, 3).minimal_order is None
+
+    def test_rejections_in_order(self):
+        negative_shifted = fc.GridFunction(1.0, 0.5, [-1.0, 1.0, 2.0])
+        with pytest.raises(fc.GridError, match="order must be an integer"):
+            fc.minimal_order(negative_shifted, 0)
+        with pytest.raises(fc.GridError, match="start at 0, got origin 1.0"):
+            fc.minimal_order(negative_shifted, 2)
+        with pytest.raises(fc.GridError, match="non-negative, got -1.0 at index 1"):
+            fc.minimal_order(fc.GridFunction(0.0, 0.5, [0.0, -1.0, 2.0]), 2)
 
 
 class TestNthRootTransform:
@@ -234,6 +303,18 @@ class TestFitPower:
         fit = fc.fit_power(f, 3)
         assert fit.c == pytest.approx(-2.0, rel=1e-12)
         assert fit.max_residual <= 1e-12 * float(np.max(np.abs(f.values)))
+
+    def test_residual_is_the_worst_pointwise_residual(self):
+        rng = np.random.default_rng(6151)
+        for _ in range(40):
+            f = random_nonneg_grid(rng, 24)
+            n = int(rng.integers(2, 7))
+            worst = max(
+                fc.functional_equation_residual(f, n, i, j)
+                for i in range(1, f.n)
+                for j in range(1, f.n - i + 1)
+            )
+            assert fc.fit_power(f, n).max_residual.hex() == worst.hex()
 
 
 def witness_bits(witnesses):
