@@ -1,33 +1,45 @@
 """Arithmetic expressions of one variable ``x`` for defining test functions.
 
-Grammar: numeric literals, ``x``, constants ``pi`` and ``e``, binary
-``+ - * / ^`` with ``^`` right-associative, unary minus, and the calls
+Grammar (ASCII only): numeric literals, ``x``, constants ``pi`` and ``e``,
+binary ``+ - * / ^`` with ``^`` right-associative, unary minus, and the calls
 ``sin cos exp log sqrt abs`` (one argument) and ``min max pow`` (two).
 Precedence, tightest first: ``^``, unary minus, ``* /``, ``+ -``.
 
-Parsing is precedence climbing; every error carries the byte offset where it
-was detected.  Evaluation is total on its domain: out-of-domain input (log of
-a non-positive number, square root of a negative, division by zero) raises
-:class:`EvalError` rather than returning NaN or infinity.
+One regular expression tokenizes; any other character, non-ASCII digits and
+letters included, is a :class:`ParseError`.  The operator tables ``_BINARY``,
+``_FUNCTIONS`` and ``_BINDING`` drive both parsing (precedence climbing; every
+error carries the offset where it was detected) and evaluation.  Evaluation is
+total on its domain: out-of-domain input (log of a non-positive number, square
+root of a negative, division by zero) raises :class:`EvalError` rather than
+returning NaN or infinity.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 __all__ = ["EvalError", "Expr", "ParseError", "evaluate", "parse", "to_text"]
 
-_FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
-    "pow": 2,
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+_FUNCTIONS = {  # name -> (arity, implementation)
+    "sin": (1, math.sin),
+    "cos": (1, math.cos),
+    "exp": (1, math.exp),
+    "log": (1, math.log),
+    "sqrt": (1, math.sqrt),
+    "abs": (1, abs),
+    "min": (2, min),
+    "max": (2, max),
+    "pow": (2, math.pow),
 }
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -79,61 +91,34 @@ Expr = Num | Var | Neg | Bin | Call
 
 # --- tokenizer --------------------------------------------------------------
 
+# Only ASCII whitespace, as str.isspace defines it (so \x1c-\x1f too), falls
+# between matches; "bad" takes any other character no alternative matches,
+# every non-ASCII one included.
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^])"
+    r"|(?P<punct>[(),])"
+    r"|(?P<bad>[^\s\x1c-\x1f])",
+    re.ASCII,
+)
+
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # num ident op lparen rparen comma end
+    kind: str  # num ident op end, or the punctuation character itself
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", m.start())
+        tokens.append(_Token(lexeme if kind == "punct" else kind, lexeme, m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -186,9 +171,9 @@ class _Parser:
             return Num(value)
         if tok.kind == "op" and tok.text == "-":
             return Neg(self.parse_expr(_UNARY_MINUS_BINDING))
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             inner = self.parse_expr(0)
-            self.expect("rparen", "')'")
+            self.expect(")", "')'")
             return inner
         if tok.kind == "ident":
             name = tok.text
@@ -197,16 +182,16 @@ class _Parser:
             if name in _CONSTANTS:
                 return Num(_CONSTANTS[name])
             if name in _FUNCTIONS:
-                self.expect("lparen", f"'(' after {name}")
+                self.expect("(", f"'(' after {name}")
                 args = [self.parse_expr(0)]
-                while self.peek().kind == "comma":
+                while self.peek().kind == ",":
                     self.advance()
                     args.append(self.parse_expr(0))
-                closing = self.expect("rparen", "')'")
-                if len(args) != _FUNCTIONS[name]:
+                closing = self.expect(")", "')'")
+                arity = _FUNCTIONS[name][0]
+                if len(args) != arity:
                     raise ParseError(
-                        f"{name} takes {_FUNCTIONS[name]} argument(s), got {len(args)}",
-                        closing.pos,
+                        f"{name} takes {arity} argument(s), got {len(args)}", closing.pos
                     )
                 return Call(name, tuple(args))
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
@@ -267,50 +252,28 @@ def to_text(e: Expr) -> str:
 
 # --- evaluation ---------------------------------------------------------------
 
-_UNARY_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
 
 def evaluate(e: Expr, x: float) -> float:
-    if isinstance(e, Num):
+    kind = type(e)
+    if kind is Num:
         return e.value
-    if isinstance(e, Var):
+    if kind is Var:
         return x
-    if isinstance(e, Neg):
+    if kind is Neg:
         return -evaluate(e.operand, x)
-    if isinstance(e, Bin):
+    if kind is Bin:
         a = evaluate(e.left, x)
         b = evaluate(e.right, x)
         try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            return math.pow(a, b)
+            return _BINARY[e.op](a, b)
         except ZeroDivisionError:
             raise EvalError(f"division by zero: {a!r} / {b!r}") from None
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"domain error in {a!r} {e.op} {b!r}: {exc}") from None
-    if isinstance(e, Call):
+    if kind is Call:
         args = [evaluate(a, x) for a in e.args]
         try:
-            if e.name == "min":
-                return min(args)
-            if e.name == "max":
-                return max(args)
-            if e.name == "pow":
-                return math.pow(args[0], args[1])
-            return _UNARY_IMPL[e.name](args[0])
+            return _FUNCTIONS[e.name][1](*args)
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"domain error in {e.name}({args!r}): {exc}") from None
     raise TypeError(f"not an expression node: {e!r}")

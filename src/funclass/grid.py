@@ -206,11 +206,23 @@ class GridFunction:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GridFunction":
+    def from_dict(cls, d: object) -> "GridFunction":
+        """Inverse of :meth:`to_dict`; every field must hold JSON numbers only."""
+        if not isinstance(d, dict):
+            raise GridError(f"grid-function JSON must be an object, got {type(d).__name__}")
         try:
-            return cls(float(d["origin"]), float(d["step"]), np.asarray(d["values"]))
+            origin, step, values = d["origin"], d["step"], d["values"]
         except KeyError as exc:
             raise GridError(f"missing key {exc} in grid-function JSON") from None
+        if not isinstance(values, list):
+            raise GridError(f"'values' must be a list of numbers, got {type(values).__name__}")
+        for name, v in (("origin", origin), ("step", step), *(("values", v) for v in values)):
+            if type(v) not in (int, float):  # bool, str, null and nested lists are not numbers
+                raise GridError(f"non-numeric '{name}' in grid-function JSON: {type(v).__name__}")
+        try:
+            return cls(float(origin), float(step), np.array(values, dtype=np.float64))
+        except OverflowError:
+            raise GridError("an integer in grid-function JSON overflows a double") from None
 
 
 def sample(
@@ -329,8 +341,9 @@ def write_json(f: GridFunction, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> GridFunction:
+    text = _read_text(path)
     try:
-        d = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        d = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also the integer-digit limit and deep nesting
         raise GridError(f"invalid JSON: {exc}") from exc
     return GridFunction.from_dict(d)

@@ -269,7 +269,7 @@ def nth_root_transform(f: GridFunction, n: int) -> GridFunction:
 
 
 def ratio_transform(f: GridFunction, n: int) -> GridFunction:
-    """Divide by the n-th power of the abscissa; the result starts one step in.
+    """Divide non-negative values by the abscissa's n-th power; the result starts one step in.
 
     The value at index 0 has no quotient, so the returned grid has origin equal
     to the step and one fewer sample.
@@ -278,6 +278,7 @@ def ratio_transform(f: GridFunction, n: int) -> GridFunction:
     _require_zero_origin(f)
     if f.values.size < 3:
         raise GridError("ratio transform needs at least 3 samples (2 beyond x = 0)")
+    _require_non_negative(f)
     x = f.xs()[1:]
     denom = x**n
     if not np.all(np.isfinite(denom)):

@@ -66,7 +66,15 @@ class TestSources:
                 "--samples", "300", "--n", "1"]
         code, _, err = invoke(capsys, argv)
         assert code == 2
-        assert "got -0.006849730259458947 at index 106" in err
+        assert "got -0.002451241263418419 at index 107" in err
+
+    def test_non_ascii_expression_exits_2_without_traceback(self, capsys):
+        argv = ["check-order", "--expr", "x*\u00b2", "--to", "1", "--samples", "5", "--n", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unexpected character" in err
+        assert "Traceback" not in err
 
     def test_unknown_command_exits_2(self, capsys):
         assert invoke(capsys, ["frobnicate"])[0] == 2

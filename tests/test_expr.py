@@ -56,6 +56,8 @@ class TestParsing:
             ("sin(x, 1)", 8),
             ("1 $ 2", 2),
             ("1e999", 0),
+            ("x*\u00b2", 2),  # superscript two: a digit to str.isdigit, not to the grammar
+            ("2*\u0663", 2),  # Arabic-Indic three
         ],
     )
     def test_parse_errors_carry_position(self, text, position):
@@ -127,7 +129,8 @@ class TestRoundTrip:
                     continue
                 assert evaluate(reparsed, x) == a
 
-    @given(st.text(alphabet="x0123456789+-*/^(). ,pine", max_size=30))
+    @given(st.text(alphabet="x0123456789+-*/^(). ,pine\u00b2\u0663\u00e9\u00bd\u2177\u00a0",
+                   max_size=30))
     @settings(max_examples=400, deadline=None)
     def test_parser_total_over_junk(self, text):
         # any input either parses or raises ParseError, nothing else

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -258,6 +259,47 @@ class TestJson:
         path = tmp_path / "f.json"
         path.write_text('{"origin": 0.0, "values": [1, 2]}')
         with pytest.raises(fc.GridError):
+            read_json(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(fc.GridError, match="must be an object, got list"):
+            read_json(path)
+
+    def test_non_list_values_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"origin": 0, "step": 1, "values": 5}')
+        with pytest.raises(fc.GridError, match="'values' must be a list"):
+            read_json(path)
+
+    def test_nested_values_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"origin": 0, "step": 1, "values": [[1, 2], [3, 4]]}')
+        with pytest.raises(fc.GridError, match="non-numeric 'values'"):
+            read_json(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"origin": 0, "step": 1, "values": [' + "1" * 5000 + ", 2]}",  # int digit limit
+            '{"origin": 0, "step": 1, "values": [1e0, ' + "1" * 400 + "]}",  # overflows a double
+            "[" * 100_000 + "]" * 100_000,  # nesting beyond the decoder's recursion
+        ],
+        ids=["long-integer", "huge-integer", "deep-nesting"],
+    )
+    def test_numbers_and_nesting_beyond_range_rejected(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(fc.GridError):
+            read_json(path)
+
+    @pytest.mark.parametrize("key", ["origin", "step"])
+    def test_non_numeric_origin_or_step_rejected(self, tmp_path, key):
+        d = {"origin": 0, "step": 1, "values": [1, 2]} | {key: "a"}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(fc.GridError, match=f"non-numeric '{key}'"):
             read_json(path)
 
     def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):

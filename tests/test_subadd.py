@@ -236,6 +236,11 @@ class TestRatioTransform:
         with pytest.raises(fc.GridError):
             fc.ratio_transform(f, 1)
 
+    def test_negative_value_error_names_the_sample_not_the_quotient(self):
+        f = fc.GridFunction(0.0, 0.25, [0.0, 0.5, -0.5, 1.0])
+        with pytest.raises(fc.GridError, match=r"got -0\.5 at index 2$"):
+            fc.ratio_transform(f, 2)
+
 
 class TestWeakBound:
     def test_square_order_two_equality_case(self):
