@@ -8,10 +8,13 @@ Precedence, tightest first: ``^``, unary minus, ``* /``, ``+ -``.
 One regular expression tokenizes; any other character, non-ASCII digits and
 letters included, is a :class:`ParseError`.  The operator tables ``_BINARY``,
 ``_FUNCTIONS`` and ``_BINDING`` drive both parsing (precedence climbing; every
-error carries the offset where it was detected) and evaluation.  Evaluation is
-total on its domain: out-of-domain input (log of a non-positive number, square
-root of a negative, division by zero) raises :class:`EvalError` rather than
-returning NaN or infinity.
+error carries the offset where it was detected) and evaluation.  Nesting deeper
+than ``_MAX_DEPTH`` (200) levels of parentheses, operators and calls is a
+:class:`ParseError` too, so no parsed expression exhausts the interpreter's
+recursion limit in parsing, printing or evaluation.  Evaluation is total on its
+domain: out-of-domain input (log of a non-positive number, square root of a
+negative, division by zero) raises :class:`EvalError` rather than returning NaN
+or infinity.
 """
 
 from __future__ import annotations
@@ -126,9 +129,23 @@ def _tokenize(text: str) -> list[_Token]:
 
 _BINDING = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_MINUS_BINDING = 30  # between mul/div and ^
+# Deepest nesting accepted: parsing, printing and evaluation recurse once or
+# twice per level, so this stays well below the interpreter's recursion limit.
+_MAX_DEPTH = 200
+
+
+def _too_deep(position: int) -> ParseError:
+    return ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", position)
 
 
 class _Parser:
+    """Precedence climbing; each parse method returns a node and its height.
+
+    ``depth`` counts the enclosing parentheses, operators and calls, so the
+    parser's own recursion stops at ``_MAX_DEPTH``; the height bounds the
+    tree, which a chain like ``x+x+...`` deepens without any recursion.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -147,53 +164,55 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return self.advance()
 
-    def parse_expr(self, min_bp: int) -> Expr:
-        left = self.parse_prefix()
-        while True:
+    def parse_expr(self, min_bp: int, depth: int) -> tuple[Expr, int]:
+        pos = self.peek().pos  # where the tree passes the limit, if it does
+        if depth > _MAX_DEPTH:
+            raise _too_deep(pos)
+        left, height = self.parse_prefix(depth)
+        while height <= _MAX_DEPTH:
             tok = self.peek()
-            if tok.kind != "op":
-                break
-            bp = _BINDING[tok.text]
-            if bp < min_bp:
-                break
+            if tok.kind != "op" or _BINDING[tok.text] < min_bp:
+                return left, height
             self.advance()
+            bp = _BINDING[tok.text]
             # right-associative ^ re-enters at its own binding power
-            right = self.parse_expr(bp if tok.text == "^" else bp + 1)
-            left = Bin(tok.text, left, right)
-        return left
+            right, right_height = self.parse_expr(bp if tok.text == "^" else bp + 1, depth + 1)
+            left, height, pos = Bin(tok.text, left, right), max(height, right_height) + 1, tok.pos
+        raise _too_deep(pos)
 
-    def parse_prefix(self) -> Expr:
+    def parse_prefix(self, depth: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ParseError(f"numeric literal {tok.text!r} overflows", tok.pos)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_expr(_UNARY_MINUS_BINDING))
+            operand, height = self.parse_expr(_UNARY_MINUS_BINDING, depth + 1)
+            return Neg(operand), height + 1
         if tok.kind == "(":
-            inner = self.parse_expr(0)
+            inner = self.parse_expr(0, depth + 1)
             self.expect(")", "')'")
             return inner
         if tok.kind == "ident":
             name = tok.text
             if name == "x":
-                return Var()
+                return Var(), 1
             if name in _CONSTANTS:
-                return Num(_CONSTANTS[name])
+                return Num(_CONSTANTS[name]), 1
             if name in _FUNCTIONS:
                 self.expect("(", f"'(' after {name}")
-                args = [self.parse_expr(0)]
+                args = [self.parse_expr(0, depth + 1)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.parse_expr(0))
+                    args.append(self.parse_expr(0, depth + 1))
                 closing = self.expect(")", "')'")
                 arity = _FUNCTIONS[name][0]
                 if len(args) != arity:
                     raise ParseError(
                         f"{name} takes {arity} argument(s), got {len(args)}", closing.pos
                     )
-                return Call(name, tuple(args))
+                return Call(name, tuple(a for a, _ in args)), max(h for _, h in args) + 1
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.pos)
@@ -204,7 +223,7 @@ def parse(text: str) -> Expr:
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(text)
-    ast = parser.parse_expr(0)
+    ast, _ = parser.parse_expr(0, 1)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)

@@ -319,10 +319,15 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     step = xs[1] - xs[0]
     if step <= 0.0:
         raise GridError(f"line {row_lines[1]}: x column must be strictly increasing")
+    if not math.isfinite(step):
+        raise GridError(f"line {row_lines[1]}: x step {xs[1]!r} - {xs[0]!r} overflows")
     xv = np.frombuffer(xs, dtype=np.float64)
-    expected = origin + np.arange(xv.size) * step
-    off_grid = ~(tol.leq_array(xv, expected) & tol.leq_array(expected, xv))
-    off_grid |= np.abs(xv - expected) > MAX_SPACING_DEVIATION * step
+    # Near the float range, grid abscissae and margins may overflow to inf: a
+    # row whose expected x is inf is off the grid, and an inf margin accepts.
+    with np.errstate(over="ignore"):
+        expected = origin + np.arange(xv.size) * step
+        off_grid = ~(tol.leq_array(xv, expected) & tol.leq_array(expected, xv))
+        off_grid |= np.abs(xv - expected) > MAX_SPACING_DEVIATION * step
     backwards = np.concatenate(([False], xv[1:] <= xv[:-1]))
     bad = np.flatnonzero(off_grid | backwards)
     if bad.size:  # the first offending row; spacing is reported before order

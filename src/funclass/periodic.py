@@ -20,6 +20,7 @@ the van Herk / Gil-Werman block method, which serve the heights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,9 +64,14 @@ class PeriodSpec:
         period is suggested.
         """
         tol = tol or Tolerance()
-        if not d > 0.0:
-            raise GridError(f"period must be positive, got {d!r}")
-        w = round(d / f.step)
+        if not (math.isfinite(d) and d > 0.0):
+            raise GridError(f"period must be finite and positive, got {d!r}")
+        steps = d / f.step  # inf when a huge d meets a tiny step
+        if steps > f.n + 0.5:  # rounds past the grid, so ``round`` cannot overflow
+            raise GridError(
+                f"period {d!r} spans {steps:.6g} steps but the grid has only {f.n} intervals"
+            )
+        w = round(steps)
         snapped = w * f.step
         if w < 1 or not tol.eq(snapped, d):
             below = max(w, 1) * f.step
@@ -74,10 +80,6 @@ class PeriodSpec:
             raise GridError(
                 f"period {d!r} is not a whole number of grid steps "
                 f"(step {f.step!r}); nearest valid d is {nearest!r}"
-            )
-        if w > f.n:
-            raise GridError(
-                f"period {d!r} spans {w} steps but the grid has only {f.n} intervals"
             )
         return cls(d=snapped, w=w)
 
@@ -310,7 +312,7 @@ def decompose(
     diffs = v[p.w:] - v[: v.size - p.w]
     hi = int(np.argmax(diffs))
     lo = int(np.argmin(diffs))
-    allowed = 10.0 * tol.abs + tol.rel * float(np.max(np.abs(v)))
+    allowed = Tolerance(10.0 * tol.abs, tol.rel).grid_slack(v)
     if diffs[hi] - diffs[lo] > allowed:
         raise GridError(
             f"shift difference is not constant: f(x+d) - f(x) is {float(diffs[hi])!r} "

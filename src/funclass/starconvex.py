@@ -19,11 +19,14 @@ pass is decided by evaluating its ordinates, as the definition reads.  A chord
 that passes only over points equal to ``v[p]`` needs no such check: its
 ordinates round to one side of ``v[p]``, so it is one-sided at any slack.
 
-``classify_shape`` reads the one-sided curvature at a split point from second
-differences; the four two-sided sign patterns correspond to epigraph or
-hypograph regions (or split unions of both) that are star-shaped from the
-graph point, which ``region_star_check`` verifies by sampling with the same
-slope bounds.
+``region_star_check`` samples points of an epigraph or hypograph region (or
+of a split union of both, its side given by ``RegionKind.sides``) and joins
+each to the center ``(x_p, v[p])``.  The same slope bounds clear a whole
+column at once, and a column they do not clear goes through the same ordinate
+check as a chord: one segment test, the paper's ``t(x, f(x)) + (1 - t)(p, f(p))``
+in the epigraph or hypograph, serves both.  ``classify_shape`` reads the
+one-sided curvature at a split point from second differences; its four
+two-sided sign patterns correspond to the four region kinds.
 """
 
 from __future__ import annotations
@@ -76,9 +79,20 @@ class RegionKind(str, enum.Enum):
     SPLIT_HYPO_EPI = "split-hypo-epi"  # hypograph left of the split, epigraph right
 
     @property
+    def sides(self) -> tuple[int, int]:
+        """Membership rule (left, right) of the center: +1 epigraph, -1 hypograph."""
+        return {
+            RegionKind.EPI: (1, 1),
+            RegionKind.HYPO: (-1, -1),
+            RegionKind.SPLIT_EPI_HYPO: (1, -1),
+            RegionKind.SPLIT_HYPO_EPI: (-1, 1),
+        }[self]
+
+    @property
     def is_split(self) -> bool:
         """Epigraph on one side of a split index and hypograph on the other."""
-        return self in (RegionKind.SPLIT_EPI_HYPO, RegionKind.SPLIT_HYPO_EPI)
+        left, right = self.sides
+        return left != right
 
 
 @dataclass(frozen=True)
@@ -153,24 +167,22 @@ class StarReport:
         }
 
 
-def _rounding_band(v: np.ndarray, margin: float) -> float:
-    """How far, in value units, the slope and ordinate tests may round apart."""
-    scale = 2.0 * float(np.max(np.abs(v))) + margin
-    return _BAND_ULPS * float(np.finfo(np.float64).eps) * scale
-
-
 def _chord_bounds(
-    v: np.ndarray, p: int, slack: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    v: np.ndarray, p: int, margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Slope bounds for chords from ``(p, v[p])``, slopes in value per grid step.
 
-    Returns ``rise = v - v[p]``, ``dist = |q - p|`` (1 at ``p`` so slopes stay
-    finite) and per ``q`` the bounds ``lower``/``upper``: a chord towards ``q``
-    with slope ``s`` stays on or above ``v - slack`` at every grid point
-    strictly between iff ``s >= lower[q]``, and on or below ``v + slack`` iff
+    Returns ``dist = |q - p|`` (1 at ``p`` so slopes stay finite), the per-``q``
+    bounds ``lower``/``upper`` and ``band``, how far slopes and chord ordinates
+    may round apart.  With ``slack = margin - band``, a chord towards ``q`` with
+    slope ``s`` stays on or above ``v - slack`` at every grid point strictly
+    between iff ``s >= lower[q]``, and on or below ``v + slack`` iff
     ``s <= upper[q]`` (in exact arithmetic).  With no grid point between, the
     bounds are infinite.
     """
+    scale = 2.0 * float(np.max(np.abs(v))) + margin
+    band = _BAND_ULPS * float(np.finfo(np.float64).eps) * scale
+    slack = margin - band
     dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
     dist[p] = 1.0
     rise = v - v[p]
@@ -181,17 +193,31 @@ def _chord_bounds(
     for r, d, lo, up in zip(*sides):
         np.maximum.accumulate((r[:-1] - slack) / d[:-1], out=lo[1:])
         np.minimum.accumulate((r[:-1] + slack) / d[:-1], out=up[1:])
-    return rise, dist, lower, upper
+    return dist, lower, upper, band
 
 
-def _chord_one_sided(v: np.ndarray, p: int, q: int, margin: float) -> bool:
-    """The chord from ``p`` to ``q``, evaluated at every grid point between, is one-sided."""
+def _first_exit(
+    v: np.ndarray, p: int, q: int, ends: np.ndarray, sign: int, margin: float
+) -> StarWitness | None:
+    """First segment from ``(p, v[p])`` to ``(q, ends[k])`` that leaves the
+    epigraph (``sign`` +1) or hypograph (-1) at a grid point strictly between,
+    by end, then crossing; ``None`` if every segment stays inside.
+    """
     lo, hi = (p, q) if p < q else (q, p)
+    if hi - lo < 2 or ends.size == 0:
+        return None
+    cp = v[p]
     between = np.arange(lo + 1, hi)
-    t = (between - p) / (q - p)
-    chord = v[p] + (v[q] - v[p]) * t
-    seg = v[between]
-    return bool(np.all(chord >= seg - margin)) or bool(np.all(chord <= seg + margin))
+    frac = (between - p) / (q - p)
+    seg = cp + np.outer(ends - cp, frac)  # ends x crossings
+    graph = v[between]
+    inside = seg >= graph - margin if sign > 0 else seg <= graph + margin
+    bad = np.argwhere(~inside)
+    if not bad.size:
+        return None
+    k, i = bad[0]
+    m = int(between[i])
+    return StarWitness(q, float(ends[k]), m, float(seg[k, i]), float(v[m]))
 
 
 def _flat_reach(v: np.ndarray, p: int) -> tuple[int, int]:
@@ -219,9 +245,8 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
     margin = tol.grid_slack(v)
-    band = _rounding_band(v, margin)
-    rise, dist, lower, upper = _chord_bounds(v, p, margin - band)
-    slope = rise / dist
+    dist, lower, upper, band = _chord_bounds(v, p, margin)
+    slope = (v - v[p]) / dist
     # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
     # so a chord this far past both bounds fails the ordinate test
     if np.any((slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)):
@@ -232,7 +257,11 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
         # v[p] + rise * t round to one side of v[p], so any slack >= 0 holds.
         lo, hi = _flat_reach(v, p)
         undecided = undecided[(undecided < lo) | (undecided > hi)]
-    return all(_chord_one_sided(v, p, int(q), margin) for q in undecided)
+    return all(
+        _first_exit(v, p, q, v[q:q + 1], 1, margin) is None
+        or _first_exit(v, p, q, v[q:q + 1], -1, margin) is None
+        for q in map(int, undecided)
+    )
 
 
 def central_set(f: GridFunction, tol: Tolerance | None = None) -> StarReport:
@@ -277,23 +306,6 @@ def classify_shape(f: GridFunction, p: int, tol: Tolerance | None = None) -> Sha
     return ShapeClass.MIXED
 
 
-def _column_kinds(region: RegionSpec, size: int) -> np.ndarray:
-    """Per-column membership rule: +1 epigraph, -1 hypograph, 0 unconstrained."""
-    kinds = np.empty(size, dtype=np.int8)
-    if region.kind is RegionKind.EPI:
-        kinds[:] = 1
-    elif region.kind is RegionKind.HYPO:
-        kinds[:] = -1
-    else:
-        s = region.split_index
-        assert s is not None
-        left, right = (1, -1) if region.kind is RegionKind.SPLIT_EPI_HYPO else (-1, 1)
-        kinds[:s] = left
-        kinds[s + 1:] = right
-        kinds[s] = 0  # the split column lies in both sides, so any ordinate is inside
-    return kinds
-
-
 def region_star_check(
     f: GridFunction,
     region: RegionSpec,
@@ -319,66 +331,28 @@ def region_star_check(
         raise GridError(f"split index {region.split_index} out of range")
 
     margin = tol.grid_slack(f.values)
-    kinds = _column_kinds(region, size)
+    left, right = region.kind.sides
     levels = np.linspace(
         float(np.min(v)) - region.vertical_extent,
         float(np.max(v)) + region.vertical_extent,
         region.vertical_samples,
     )
-    cp = float(v[center_p])
+    cp = v[center_p]
 
     # The crossings of a column lie on its side of the center and share its
-    # kind, and a segment's slope grows with its level: an epigraph column
+    # sign, and a segment's slope grows with its level: an epigraph column
     # holds iff its lowest selected level does, a hypograph column iff its
     # highest does.  Columns not surely holding get the sampled check.
-    _, dist, lower, upper = _chord_bounds(v, center_p, margin - _rounding_band(v, margin))
+    dist, lower, upper, _ = _chord_bounds(v, center_p, margin)
     ordered = np.sort(levels)  # searchsorted needs ascending levels
     lowest = ordered[np.minimum(np.searchsorted(ordered, v, "left"), ordered.size - 1)]
     highest = ordered[np.maximum(np.searchsorted(ordered, v, "right") - 1, 0)]
-    clear = np.where(
-        kinds == 1,
-        (lowest - cp) / dist >= lower,
-        (kinds == -1) & ((highest - cp) / dist <= upper),
-    )
-    for q in np.flatnonzero(~clear):
-        witness = _column_witness(v, kinds, levels, center_p, int(q), margin)
+    clear = {1: (lowest - cp) / dist >= lower, -1: (highest - cp) / dist <= upper}
+    columns = np.concatenate((clear[left][:center_p], clear[right][center_p:]))
+    for q in map(int, np.flatnonzero(~columns)):
+        sign = left if q < center_p else right
+        ends = levels[levels >= v[q]] if sign > 0 else levels[levels <= v[q]]
+        witness = _first_exit(v, center_p, q, ends, sign, margin)
         if witness is not None:
             return RegionCheckReport(ok=False, witness=witness)
     return RegionCheckReport(ok=True, witness=None)
-
-
-def _column_witness(
-    v: np.ndarray, kinds: np.ndarray, levels: np.ndarray, p: int, q: int, margin: float
-) -> StarWitness | None:
-    """First failing sample of column ``q`` (level, then crossing), or ``None``."""
-    if kinds[q] == 1:
-        selected = levels[levels >= v[q]]
-    elif kinds[q] == -1:
-        selected = levels[levels <= v[q]]
-    else:
-        selected = levels
-    lo, hi = (p, q) if p < q else (q, p)
-    if hi - lo < 2 or selected.size == 0:
-        return None
-    cp = float(v[p])
-    between = np.arange(lo + 1, hi)
-    frac = (between - p) / (q - p)
-    seg = cp + np.outer(selected - cp, frac)  # levels x crossings
-    col_kinds = kinds[between]
-    ok = np.where(
-        col_kinds == 1,
-        seg >= v[between] - margin,
-        np.where(col_kinds == -1, seg <= v[between] + margin, True),
-    )
-    bad = np.argwhere(~ok)
-    if not bad.size:
-        return None
-    li, mi = bad[0]
-    m_idx = int(between[mi])
-    return StarWitness(
-        column=q,
-        level=float(selected[li]),
-        crossing=m_idx,
-        segment_value=float(seg[li, mi]),
-        graph_value=float(v[m_idx]),
-    )

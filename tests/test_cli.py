@@ -76,6 +76,47 @@ class TestSources:
         assert "unexpected character" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 600 + "x" + ")" * 600, "-" * 1200 + "x", "^".join(["x"] * 1200),
+         "+".join(["x"] * 3000)],
+        ids=["parentheses", "leading-minus", "power-tower", "long-sum"],
+    )
+    def test_deeply_nested_expression_exits_2_without_traceback(self, capsys, text):
+        # "--expr=" keeps argparse from reading a leading "-" as an option
+        argv = ["check-order", f"--expr={text}", "--to", "1", "--samples", "5", "--n", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "nests deeper than 200 levels (at position" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [("inf", "must be finite and positive, got inf"),
+         ("1e308", "spans inf steps"),
+         ("1e300", "spans 2e+300 steps but the grid has only 2 intervals")],
+    )
+    def test_period_past_the_grid_exits_2(self, capsys, d, message):
+        argv = ["heights", "--expr", "x", "--to", "1", "--samples", "3", "--d", d]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err and len(err) < 120
+
+    def test_period_on_a_subnormal_step_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0,0\n5e-324,1\n1e-323,2\n")
+        code, out, err = invoke(capsys, ["heights", "--csv", str(path), "--d", "1"])
+        assert (code, out) == (2, "")
+        assert "period 1.0 spans inf steps" in err
+
+    def test_overflowing_csv_step_exits_2_naming_line_2(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("-1.7e308,1\n1.7e308,2\n")
+        code, out, err = invoke(capsys, ["heights", "--csv", str(path), "--d", "1"])
+        assert (code, out) == (2, "")
+        assert "line 2: x step" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert invoke(capsys, ["frobnicate"])[0] == 2
 

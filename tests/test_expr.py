@@ -70,6 +70,42 @@ class TestParsing:
             parse("sinh(x)")
 
 
+# Nestings past the interpreter's recursion limit, each with the offset of the
+# token where it first passes the 200-level limit.
+DEEP_EXPRESSIONS = [
+    ("parentheses", "(" * 600 + "x" + ")" * 600, 200),
+    ("leading-minus", "-" * 1200 + "x", 200),
+    ("power-tower", "^".join(["x"] * 1200), 400),
+    ("long-sum", "+".join(["x"] * 3000), 399),
+]
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize(
+        "text, position", [c[1:] for c in DEEP_EXPRESSIONS], ids=[c[0] for c in DEEP_EXPRESSIONS]
+    )
+    def test_deep_nesting_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match="deeper than 200 levels") as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("(" * 199 + "x" + ")" * 199, 1.0),
+            ("-" * 198 + "x", 1.0),
+            ("^".join(["x"] * 200), 1.0),
+            ("+".join(["x"] * 200), 200.0),
+            ("abs(" * 199 + "x" + ")" * 199, 1.0),
+        ],
+        ids=["parentheses", "leading-minus", "power-tower", "long-sum", "calls"],
+    )
+    def test_nesting_at_the_limit_parses_prints_and_evaluates(self, text, value):
+        ast = parse(text)
+        assert parse(to_text(ast)) == ast
+        assert evaluate(ast, 1.0) == value
+
+
 class TestEvaluation:
     @pytest.mark.parametrize(
         "text,x",

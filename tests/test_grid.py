@@ -243,6 +243,169 @@ class TestCsv:
         with pytest.raises(fc.GridError, match=r"latin\.csv: not UTF-8 text .* at byte offset 10"):
             read_csv(path)
 
+    def test_overflowing_step_rejected_naming_line_2(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("-1.7e308,1\n1.7e308,2\n")
+        with pytest.raises(fc.GridError, match="line 2: x step .* overflows"):
+            read_csv(path)
+
+    def test_grid_past_the_float_range_rejected_without_a_warning(self, tmp_path):
+        # the step is finite, but origin + 2 * step is not a double
+        path = tmp_path / "f.csv"
+        path.write_text("-1e308,1\n0,2\n1e308,3\n")
+        match = r"line 3: non-uniform spacing, x=1e\+308 but expected inf"
+        with pytest.raises(fc.GridError, match=match):
+            read_csv(path)
+
+    def test_grid_at_the_top_of_the_float_range_is_read(self, tmp_path):
+        # the acceptance margin of the last row overflows to inf and accepts
+        top = float(np.finfo(np.float64).max)
+        below = float(np.nextafter(top, 0.0))
+        path = tmp_path / "f.csv"
+        path.write_text(f"{below!r},1\n{top!r},2\n")
+        f = read_csv(path)
+        assert (f.origin, f.origin + f.step) == (below, top)
+
+
+# --- malformed files ---------------------------------------------------------
+# Whatever the bytes, reading either returns a grid or raises GridError; under
+# the suite's warning filter a RuntimeWarning from numpy counts as a failure.
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+NON_FINITE_TOKENS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]
+BAD_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc0", b"\xe2\x28\xa1"]
+
+
+@st.composite
+def csv_grid_lines(draw):
+    """Rows of a valid uniform grid, as ``write_csv`` writes them."""
+    origin = draw(st.floats(-1e6, 1e6))
+    step = draw(st.floats(1e-3, 1e3))
+    values = draw(st.lists(FINITE, min_size=2, max_size=8))
+    return [f"{origin + i * step!r},{v!r}" for i, v in enumerate(values)]
+
+
+def csv_line():
+    number = st.one_of(FINITE, st.floats(min_value=1e307), st.floats(max_value=-1e307)).map(repr)
+    token = st.one_of(number, st.sampled_from(NON_FINITE_TOKENS + ["x", "y", "", " "]))
+    return st.one_of(
+        st.tuples(number, number).map(",".join),  # a data row
+        st.lists(token, max_size=4).map(",".join),  # ragged, empty, non-finite or text
+    )
+
+
+def _read(reader, tmp_path_factory, data: bytes):
+    path = tmp_path_factory.mktemp("malformed") / "f"
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except fc.GridError as exc:
+        return exc
+
+
+class TestMalformedCsv:
+    @given(
+        lines=st.lists(csv_line(), max_size=8),
+        junk=st.one_of(st.just(b""), st.sampled_from(BAD_UTF8), st.binary(max_size=3)),
+        at=st.integers(0, 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_file_reads_or_raises_grid_error(self, lines, junk, at, tmp_path_factory):
+        data = "\n".join(lines).encode()
+        got = _read(read_csv, tmp_path_factory, data[:at] + junk + data[at:])
+        assert isinstance(got, (fc.GridFunction, fc.GridError))
+
+    @given(lines=csv_grid_lines(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_row_is_named(self, lines, data, tmp_path_factory):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        lines[k] = ",".join(data.draw(st.sampled_from([fields[:1], fields + ["0"], fields * 2])))
+        got = _read(read_csv, tmp_path_factory, "\n".join(lines).encode())
+        assert isinstance(got, fc.GridError)
+        assert f"line {k + 1}: expected two columns" in str(got)
+
+    @given(lines=csv_grid_lines(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_token_is_named(self, lines, data, tmp_path_factory):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        fields[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(NON_FINITE_TOKENS))
+        lines[k] = ",".join(fields)
+        got = _read(read_csv, tmp_path_factory, "\n".join(lines).encode())
+        assert isinstance(got, fc.GridError)
+        assert f"line {k + 1}: non-finite entry" in str(got)
+
+    @given(lines=csv_grid_lines(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_header_after_line_1_is_named(self, lines, data, tmp_path_factory):
+        k = data.draw(st.integers(1, len(lines)))
+        lines.insert(k, data.draw(st.sampled_from(["x,y", "a,b", "x,1", "1,y"])))
+        got = _read(read_csv, tmp_path_factory, "\n".join(lines).encode())
+        assert isinstance(got, fc.GridError)
+        assert f"line {k + 1}: could not parse numbers" in str(got)
+
+    @given(lines=csv_grid_lines(), junk=st.sampled_from(BAD_UTF8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_utf8_bytes_are_rejected(self, lines, junk, data, tmp_path_factory):
+        text = "\n".join(lines).encode()
+        at = data.draw(st.integers(0, len(text)))
+        got = _read(read_csv, tmp_path_factory, text[:at] + junk + text[at:])
+        assert isinstance(got, fc.GridError)
+        assert "not UTF-8 text" in str(got)
+
+    @given(
+        low=st.floats(9e307, 1.7976931348623157e308),
+        high=st.floats(9e307, 1.7976931348623157e308),
+        ys=st.lists(FINITE, min_size=2, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_overflowing_spacing_is_rejected_at_line_2(self, low, high, ys, tmp_path_factory):
+        xs = [-low, high] + [high] * (len(ys) - 2)
+        text = "\n".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
+        got = _read(read_csv, tmp_path_factory, text.encode())
+        assert isinstance(got, fc.GridError)
+        assert "line 2: x step" in str(got)
+
+
+def json_value():
+    scalar = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+        st.integers(min_value=10**300, max_value=10**400),
+    )
+    return st.recursive(scalar, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+class TestMalformedJson:
+    @given(
+        doc=st.one_of(
+            json_value(),
+            st.fixed_dictionaries(
+                {"origin": json_value(), "step": json_value(), "values": json_value()}
+            ),
+            st.fixed_dictionaries(
+                {"origin": st.floats(), "step": st.floats(), "values": st.lists(st.floats())}
+            ),
+        ),
+        junk=st.one_of(st.just(b""), st.sampled_from(BAD_UTF8)),
+        at=st.integers(0, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_document_reads_or_raises_grid_error(self, doc, junk, at, tmp_path_factory):
+        data = json.dumps(doc).encode()  # NaN and Infinity become bare tokens
+        got = _read(read_json, tmp_path_factory, data[:at] + junk + data[at:])
+        assert isinstance(got, (fc.GridFunction, fc.GridError))
+
+    @given(values=st.lists(FINITE, min_size=2, max_size=8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_value_is_named(self, values, data, tmp_path_factory):
+        k = data.draw(st.integers(0, len(values) - 1))
+        values[k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        text = json.dumps({"origin": 0.0, "step": 1.0, "values": values})
+        got = _read(read_json, tmp_path_factory, text.encode())
+        assert isinstance(got, fc.GridError)
+        assert f"non-finite value {values[k]} at index {k}" in str(got)
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):

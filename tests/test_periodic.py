@@ -36,6 +36,30 @@ class TestPeriodSpec:
         with pytest.raises(fc.GridError):
             fc.PeriodSpec.for_grid(f, 2.0)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_period(self, d):
+        f = fc.GridFunction(0.0, 0.5, np.zeros(4))
+        with pytest.raises(fc.GridError, match="must be finite and positive"):
+            fc.PeriodSpec.for_grid(f, d)
+
+    @pytest.mark.parametrize(
+        "step, d",
+        [(0.5, 1e308), (0.5, 1e300), (5e-324, 1.0)],
+        ids=["inf-steps", "e300", "subnormal"],
+    )
+    def test_period_past_the_grid_is_rejected_before_rounding(self, step, d):
+        # d / step is inf or a 301-digit integer: neither may reach round() or the message
+        f = fc.GridFunction(0.0, step, np.zeros(3))
+        with pytest.raises(fc.GridError, match="grid has only 2 intervals") as err:
+            fc.PeriodSpec.for_grid(f, d)
+        assert len(str(err.value)) < 100
+
+    def test_half_step_past_the_grid_still_rounds_to_the_last_interval(self):
+        f = fc.GridFunction(0.0, 1.0, np.zeros(4))
+        assert fc.PeriodSpec.for_grid(f, 3.0 + 1e-12).w == 3
+        with pytest.raises(fc.GridError, match="spans 3.6 steps"):
+            fc.PeriodSpec.for_grid(f, 3.6)
+
 
 class TestPeriodicCheck:
     def test_small_wobble_passes(self):
@@ -338,6 +362,20 @@ class TestDecompose:
         spec = fc.PeriodSpec(d=1.0, w=4)
         with pytest.raises(fc.GridError, match="not constant"):
             fc.decompose(f, spec)
+
+    def test_shift_margin_is_ten_times_the_tolerance(self):
+        f = fc.sample(lambda t: t**2, 0, 0.25, 21)  # shift differences span 8.0
+        spec = fc.PeriodSpec(d=1.0, w=4)
+        fc.decompose(f, spec, fc.Tolerance(0.8, 0.0))  # margin 8.0 accepts
+        with pytest.raises(fc.GridError, match="not constant"):
+            fc.decompose(f, spec, fc.Tolerance(0.79, 0.0))
+
+    def test_tolerance_too_large_to_scale_is_rejected(self):
+        # ten times this absolute tolerance overflows to inf, which is no tolerance
+        f = fc.sample(lambda t: t, 0, 0.05, 61)
+        spec = fc.PeriodSpec.for_grid(f, 1.0)
+        with pytest.raises(fc.GridError, match="absolute tolerance must be finite"):
+            fc.decompose(f, spec, fc.Tolerance(1e308, 0.0))
 
     @pytest.mark.parametrize("d,amplitude", [(1.0, 0.1), (1.0, 0.3), (0.5, 0.1)])
     def test_periodicity_of_h(self, d, amplitude):

@@ -88,13 +88,13 @@ class TestCentralSet:
 
     def test_constant_grid_at_zero_tolerance_skips_the_ordinate_check(self, monkeypatch):
         calls = []
-        chord_one_sided = starconvex._chord_one_sided
+        first_exit = starconvex._first_exit
 
         def counted(*args):
             calls.append(args)
-            return chord_one_sided(*args)
+            return first_exit(*args)
 
-        monkeypatch.setattr(starconvex, "_chord_one_sided", counted)
+        monkeypatch.setattr(starconvex, "_first_exit", counted)
         f = fc.GridFunction(0.0, 1.0, np.ones(257))
         assert fc.central_set(f, fc.Tolerance(0.0, 0.0)).centers == tuple(range(257))
         assert calls == []
