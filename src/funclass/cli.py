@@ -229,13 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    abs_tol = args.tol_abs
-    rel_tol = args.tol_rel
-    if abs_tol is None:
-        abs_tol = float(os.environ.get("FUNCLASS_TOL_ABS", 1e-9))
-    if rel_tol is None:
-        rel_tol = float(os.environ.get("FUNCLASS_TOL_REL", 1e-12))
-    return Tolerance(abs=abs_tol, rel=rel_tol)
+    """Each field from its flag, else its environment variable, else ``Tolerance()``'s."""
+    fields = {}
+    for field, flag in (("abs", args.tol_abs), ("rel", args.tol_rel)):
+        var = f"FUNCLASS_TOL_{field.upper()}"
+        if flag is not None:
+            fields[field] = flag
+        elif var in os.environ:
+            try:
+                fields[field] = float(os.environ[var])
+            except ValueError:
+                raise GridError(f"{var} must be a number, got {os.environ[var]!r}") from None
+    return Tolerance(**fields)
 
 
 def _load_grid(args: argparse.Namespace) -> GridFunction:
@@ -255,6 +260,13 @@ def _write_plot_csv(path: str, columns: Columns) -> None:
     lines = [",".join(names)]
     lines.extend(",".join(repr(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _to_json(report: dict) -> str:
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no inf or NaN
+        raise GridError("a result overflowed to inf or NaN, which JSON cannot hold") from None
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[int, dict, Columns]:
@@ -278,6 +290,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, report, plot = _dispatch(args)
+        text = _to_json(report)
         if args.plot_csv:
             _write_plot_csv(args.plot_csv, plot)
     except (GridError, ParseError, EvalError) as exc:
@@ -286,7 +299,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"funclass: i/o error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2))
+    print(text)
     return code
 
 

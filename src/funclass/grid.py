@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 
-MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
-
-
 class GridError(ValueError):
     """Raised when input data violates a precondition of an operation."""
 
@@ -89,6 +86,10 @@ class Tolerance:
 
     def eq(self, x: float, y: float) -> bool:
         return self.leq(x, y) and self.leq(y, x)
+
+
+_ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
+MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,14 +284,13 @@ def _read_text(path: str | Path) -> str:
         raise GridError(f"{path}: not UTF-8 text ({where})") from None
 
 
-def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
+def read_csv(path: str | Path) -> GridFunction:
     """Read a two-column ``x,y`` CSV (header optional) into a GridFunction.
 
-    The x column must be strictly increasing and uniformly spaced: each x may
-    deviate from ``origin + k * step`` within ``tol`` and by at most
-    ``MAX_SPACING_DEVIATION`` steps.  The first offending line is reported.
+    The x column must be strictly increasing and uniformly spaced: each x must
+    equal ``origin + k * step`` under the default :class:`Tolerance` and lie within
+    ``MAX_SPACING_DEVIATION`` steps of it.  The first offending line is reported.
     """
-    tol = tol or Tolerance()
     text = _read_text(path)
     xs, ys, row_lines = array("d"), array("d"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -326,7 +326,7 @@ def read_csv(path: str | Path, tol: Tolerance | None = None) -> GridFunction:
     # row whose expected x is inf is off the grid, and an inf margin accepts.
     with np.errstate(over="ignore"):
         expected = origin + np.arange(xv.size) * step
-        off_grid = ~(tol.leq_array(xv, expected) & tol.leq_array(expected, xv))
+        off_grid = ~(_ABSCISSA_TOL.leq_array(xv, expected) & _ABSCISSA_TOL.leq_array(expected, xv))
         off_grid |= np.abs(xv - expected) > MAX_SPACING_DEVIATION * step
     backwards = np.concatenate(([False], xv[1:] <= xv[:-1]))
     bad = np.flatnonzero(off_grid | backwards)

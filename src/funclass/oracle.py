@@ -71,7 +71,7 @@ def minorant_bruteforce(f: GridFunction, k: int) -> float:
 
 
 def pair_scan_bruteforce(
-    f: GridFunction, n: int, tol: Tolerance | None = None, weak: bool = False
+    f: GridFunction, n: int, tol: Tolerance = Tolerance(), weak: bool = False
 ) -> tuple[Witness, ...]:
     """Failing pairs of the order-``n`` inequality, or of the weak bound, in ``(i, j)`` order.
 
@@ -80,7 +80,6 @@ def pair_scan_bruteforce(
     Weak bound: ``f(x+y) <= max(f(x) + q f(y), q f(x) + f(y))``, ``q = 2^n - 1``,
     for ``x, y > 0``.
     """
-    tol = tol or Tolerance()
     m = round(f.origin / f.step)
     if m < 0 or f.origin != m * f.step:
         raise GridError(f"grid origin {f.origin!r} is not a non-negative multiple of the step")
@@ -103,7 +102,7 @@ def pair_scan_bruteforce(
 
 
 def minimal_order_bruteforce(
-    f: GridFunction, n_max: int, tol: Tolerance | None = None
+    f: GridFunction, n_max: int, tol: Tolerance = Tolerance()
 ) -> int | None:
     """The first order ``k`` in ``[1, n_max]`` whose scalar pair scan finds no failure."""
     for k in range(1, n_max + 1):
@@ -113,10 +112,9 @@ def minimal_order_bruteforce(
 
 
 def periodic_check_bruteforce(
-    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    f: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> bool:
     """All-pairs transcription of the definition: ``v[i] <= v[t]`` when ``t - i >= w``."""
-    tol = tol or Tolerance()
     v = f.values
     i = np.arange(v.size)[:, None]
     t = np.arange(v.size)[None, :]
@@ -125,10 +123,9 @@ def periodic_check_bruteforce(
 
 
 def periodic_witnesses_bruteforce(
-    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    f: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> tuple[Witness, ...]:
     """Indices ``i`` failing ``v[i] <= min(v[i+w:])``, each paired with the first minimizer."""
-    tol = tol or Tolerance()
     v = [float(value) for value in f.values]
     witnesses = []
     for i in range(len(v) - p.w):
@@ -141,9 +138,8 @@ def periodic_witnesses_bruteforce(
     return tuple(witnesses)
 
 
-def is_center_bruteforce(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
+def is_center_bruteforce(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
     """Every chord from ``p``, evaluated at every grid point between, is one-sided."""
-    tol = tol or Tolerance()
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
@@ -167,10 +163,9 @@ def region_star_check_bruteforce(
     f: GridFunction,
     region: RegionSpec,
     center_p: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> RegionCheckReport:
     """Every sampled region point, every crossing: first failure (column, level, crossing)."""
-    tol = tol or Tolerance()
     v = f.values
     size = v.size
     if not 0 <= center_p < size:
@@ -243,7 +238,7 @@ def center_check_hires(
     f: GridFunction,
     p: int,
     factor: int = 4,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> bool:
     """Re-run the center test on a ``factor`` times denser resampling of ``source``.
 

@@ -55,7 +55,7 @@ class PeriodSpec:
 
     @classmethod
     def for_grid(
-        cls, f: GridFunction, d: float, tol: Tolerance | None = None
+        cls, f: GridFunction, d: float, tol: Tolerance = Tolerance()
     ) -> "PeriodSpec":
         """Validate ``d`` against the grid and snap it to ``w * step``.
 
@@ -63,7 +63,6 @@ class PeriodSpec:
         inside the sampled interval; otherwise the nearest representable
         period is suggested.
         """
-        tol = tol or Tolerance()
         if not (math.isfinite(d) and d > 0.0):
             raise GridError(f"period must be finite and positive, got {d!r}")
         steps = d / f.step  # inf when a huge d meets a tiny step
@@ -151,7 +150,7 @@ def _suffix_min(v: np.ndarray) -> np.ndarray:
 
 
 def is_periodically_increasing(
-    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    f: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> PeriodicCheckResult:
     """Decide whether ``f(x) <= f(y)`` whenever ``y - x >= d`` on the grid.
 
@@ -159,7 +158,6 @@ def is_periodically_increasing(
     steps later; a failure is witnessed by the pair ``(i, t)``, where ``t`` is
     the smallest index attaining that minimum.
     """
-    tol = tol or Tolerance()
     _require_period(f, p)
     v = f.values
     mins = _suffix_min(v)
@@ -246,10 +244,9 @@ def envelopes(f: GridFunction) -> EnvelopeSet:
 
 
 def check_hat_bound(
-    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    f: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> HatBoundReport:
     """Verify ``sup |f - f_hat| <= global_d / 2`` for a periodically increasing f."""
-    tol = tol or Tolerance()
     _require_periodically_increasing(f, p, tol)
     bound = heights(f, p).global_d / 2.0
     hat = envelopes(f).f_hat
@@ -258,7 +255,7 @@ def check_hat_bound(
 
 
 def perturbation_check(
-    g: GridFunction, k: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    g: GridFunction, k: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> PerturbationReport:
     """Check that ``g + k`` and ``g - k`` stay periodically increasing.
 
@@ -266,7 +263,6 @@ def perturbation_check(
     compares the smallest full-window rise of ``g`` against the oscillation of
     ``k``; if it fails, the perturbed functions are not judged.
     """
-    tol = tol or Tolerance()
     g._require_same_grid(k)
     _require_period(g, p)
     v = g.values
@@ -291,7 +287,7 @@ def perturbation_check(
 
 
 def decompose(
-    f: GridFunction, p: PeriodSpec, tol: Tolerance | None = None
+    f: GridFunction, p: PeriodSpec, tol: Tolerance = Tolerance()
 ) -> PeriodicDecomposition:
     """Split a periodically increasing ``f`` with constant step into ``g + h``.
 
@@ -300,7 +296,6 @@ def decompose(
     times looser than the base tolerance, since this is a hypothesis on data).
     ``g`` is the largest increasing minorant; ``h = f - g`` is ``d``-periodic.
     """
-    tol = tol or Tolerance()
     _require_period(f, p)
     if f.n <= 2 * p.w:
         raise GridError(
@@ -312,7 +307,13 @@ def decompose(
     diffs = v[p.w:] - v[: v.size - p.w]
     hi = int(np.argmax(diffs))
     lo = int(np.argmin(diffs))
-    allowed = Tolerance(10.0 * tol.abs, tol.rel).grid_slack(v)
+    scaled = 10.0 * tol.abs
+    if not math.isfinite(scaled):
+        raise GridError(
+            f"absolute tolerance must be finite and >= 0 when scaled tenfold for the "
+            f"constant-shift check, got {tol.abs!r} (10 * {tol.abs!r} overflows)"
+        )
+    allowed = Tolerance(scaled, tol.rel).grid_slack(v)
     if diffs[hi] - diffs[lo] > allowed:
         raise GridError(
             f"shift difference is not constant: f(x+d) - f(x) is {float(diffs[hi])!r} "

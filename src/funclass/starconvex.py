@@ -231,7 +231,7 @@ def _flat_reach(v: np.ndarray, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
+def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
     """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
 
     Chords are evaluated only at grid abscissas strictly between the endpoints,
@@ -240,7 +240,6 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     that fail it or pass it only within rounding, unless every point they pass
     over equals ``v[p]``.
     """
-    tol = tol or Tolerance()
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
@@ -264,9 +263,8 @@ def is_center(f: GridFunction, p: int, tol: Tolerance | None = None) -> bool:
     )
 
 
-def central_set(f: GridFunction, tol: Tolerance | None = None) -> StarReport:
+def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
     """All centers with their curvature classes (O(N^2) time, O(N) memory)."""
-    tol = tol or Tolerance()
     centers = tuple(p for p in range(f.values.size) if is_center(f, p, tol))
     classes = {p: classify_shape(f, p, tol) for p in centers}
     return StarReport(
@@ -274,13 +272,12 @@ def central_set(f: GridFunction, tol: Tolerance | None = None) -> StarReport:
     )
 
 
-def classify_shape(f: GridFunction, p: int, tol: Tolerance | None = None) -> ShapeClass:
+def classify_shape(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> ShapeClass:
     """Second-difference curvature pattern of the two sides around index ``p``.
 
     A side with fewer than three points constrains nothing, so it counts as
     both convex and concave and the other side decides alone.
     """
-    tol = tol or Tolerance()
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"split index {p} out of range [0, {v.size - 1}]")
@@ -310,7 +307,7 @@ def region_star_check(
     f: GridFunction,
     region: RegionSpec,
     center_p: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> RegionCheckReport:
     """Sampled test that the region is star-shaped from ``(x_p, v[p])``.
 
@@ -320,7 +317,6 @@ def region_star_check(
     crosses.  The first failing sample (column, then level, then crossing) is
     returned as witness.
     """
-    tol = tol or Tolerance()
     v = f.values
     size = v.size
     if not 0 <= center_p < size:

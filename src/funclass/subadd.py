@@ -170,20 +170,6 @@ def _pair_blocks(
         yield np.repeat(i0 + k, lengths), cols
 
 
-def _violations(
-    v: np.ndarray, m: int, first: int, second: int, rhs: PairBound, tol: Tolerance
-) -> tuple[Witness, ...]:
-    """Pairs where ``Tolerance.leq(v[i + j + m], rhs(i, j))`` fails, in ``(i, j)`` order."""
-    found: list[Witness] = []
-    for rows, cols in _pair_blocks(v.size, m, first, second):
-        lhs = v[rows + cols + m]
-        bound = rhs(rows, cols)
-        bad = ~tol.leq_array(lhs, bound)
-        pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
-        found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
-    return tuple(found)
-
-
 def _order_bound(v: np.ndarray, x: np.ndarray, n: int) -> PairBound:
     """The order-``n`` right-hand side ``v[i] + r(x_i, x_j, n) * v[j]`` over one pair block."""
 
@@ -193,15 +179,23 @@ def _order_bound(v: np.ndarray, x: np.ndarray, n: int) -> PairBound:
     return rhs
 
 
-def _order_report(f: GridFunction, n: int, tol: Tolerance | None, m: int) -> SubadditivityReport:
-    """Order-``n`` pair scan on a grid that starts ``m`` steps from 0."""
+def _scan(
+    f: GridFunction, n: int, tol: Tolerance, m: int, first: int, rhs: PairBound
+) -> SubadditivityReport:
+    """Report the pairs ``a >= first``, ``b >= max(first, 1)`` failing ``v[a + b] <= rhs``."""
     _require_non_negative(f)
     v = f.values
-    violations = _violations(v, m, m, max(m, 1), _order_bound(v, f.xs(), n), tol or Tolerance())
-    return SubadditivityReport(order_tested=n, holds=not violations, violations=violations)
+    found: list[Witness] = []
+    for rows, cols in _pair_blocks(v.size, m, first, max(first, 1)):
+        lhs = v[rows + cols + m]
+        bound = rhs(rows, cols)
+        bad = ~tol.leq_array(lhs, bound)
+        pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
+        found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
+    return SubadditivityReport(order_tested=n, holds=not found, violations=tuple(found))
 
 
-def check_order(f: GridFunction, n: int, tol: Tolerance | None = None) -> SubadditivityReport:
+def check_order(f: GridFunction, n: int, tol: Tolerance = Tolerance()) -> SubadditivityReport:
     """Decide order-``n`` subadditivity on a grid that starts at 0.
 
     Scans every pair ``i >= 0``, ``j >= 1`` with ``i + j <= N``; pairs with
@@ -209,11 +203,11 @@ def check_order(f: GridFunction, n: int, tol: Tolerance | None = None) -> Subadd
     """
     _validate_order(n)
     _require_zero_origin(f)
-    return _order_report(f, n, tol, 0)
+    return _scan(f, n, tol, 0, 0, _order_bound(f.values, f.xs(), n))
 
 
 def check_order_offset(
-    f: GridFunction, n: int, tol: Tolerance | None = None
+    f: GridFunction, n: int, tol: Tolerance = Tolerance()
 ) -> SubadditivityReport:
     """Order-``n`` check for grids whose origin is a positive multiple of the step.
 
@@ -221,11 +215,12 @@ def check_order_offset(
     Witness indices are multiples of the step, not array positions.
     """
     _validate_order(n)
-    return _order_report(f, n, tol, _offset_multiple(f))
+    m = _offset_multiple(f)
+    return _scan(f, n, tol, m, m, _order_bound(f.values, f.xs(), n))
 
 
 def minimal_order(
-    f: GridFunction, n_max: int, tol: Tolerance | None = None
+    f: GridFunction, n_max: int, tol: Tolerance = Tolerance()
 ) -> SubadditivityReport:
     """The smallest ``k`` in ``[1, n_max]`` with ``check_order(f, k, tol).holds``, if any.
 
@@ -239,7 +234,6 @@ def minimal_order(
     _validate_order(n_max)
     _require_zero_origin(f)
     _require_non_negative(f)
-    tol = tol or Tolerance()
     v, x = f.values, f.xs()
     n = 1
     for rows, cols in _pair_blocks(v.size, 0, 0, 1):
@@ -268,6 +262,17 @@ def nth_root_transform(f: GridFunction, n: int) -> GridFunction:
     return f.with_values(values)
 
 
+def _abscissa_powers(f: GridFunction, n: int, what: str) -> np.ndarray:
+    """``x^n`` at every sample beyond ``x = 0``; ``what`` names the operation in errors."""
+    if f.values.size < 3:
+        raise GridError(f"{what} needs at least 3 samples (2 beyond x = 0)")
+    with np.errstate(over="ignore"):  # an overflowing power is rejected below
+        powers = f.xs()[1:] ** n
+    if not np.all(np.isfinite(powers)):
+        raise GridError(f"abscissa power x^{n} overflows on this grid")
+    return powers
+
+
 def ratio_transform(f: GridFunction, n: int) -> GridFunction:
     """Divide non-negative values by the abscissa's n-th power; the result starts one step in.
 
@@ -276,30 +281,21 @@ def ratio_transform(f: GridFunction, n: int) -> GridFunction:
     """
     _validate_order(n)
     _require_zero_origin(f)
-    if f.values.size < 3:
-        raise GridError("ratio transform needs at least 3 samples (2 beyond x = 0)")
     _require_non_negative(f)
-    x = f.xs()[1:]
-    denom = x**n
-    if not np.all(np.isfinite(denom)):
-        raise GridError(f"abscissa power x^{n} overflows on this grid")
-    values = f.values[1:] / denom
+    values = f.values[1:] / _abscissa_powers(f, n, "ratio transform")
     return GridFunction(origin=f.step, step=f.step, values=values)
 
 
 def check_weak_bound(
-    f: GridFunction, n: int, tol: Tolerance | None = None
+    f: GridFunction, n: int, tol: Tolerance = Tolerance()
 ) -> SubadditivityReport:
     """Check ``f(x+y) <= max(f(x) + q f(y), q f(x) + f(y))`` with ``q = 2^n - 1``.
 
     This is the coefficient-free relaxation of the order-``n`` inequality;
     both ``x`` and ``y`` must be positive here.
     """
-    tol = tol or Tolerance()
     _validate_order(n)
     _require_zero_origin(f)
-    _require_non_negative(f)
-
     v = f.values
     q = float(2**n - 1)
 
@@ -307,8 +303,7 @@ def check_weak_bound(
         va, vb = v[rows], v[cols]
         return np.maximum(va + q * vb, q * va + vb)
 
-    witnesses = _violations(v, 0, 1, 1, rhs, tol)
-    return SubadditivityReport(order_tested=n, holds=not witnesses, violations=witnesses)
+    return _scan(f, n, tol, 0, 1, rhs)
 
 
 def functional_equation_residual(f: GridFunction, n: int, i: int, j: int) -> float:
@@ -343,26 +338,19 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
         raise GridError(f"power fit needs integer n >= 2, got {n!r}")
     _validate_order(n)
     _require_zero_origin(f)
+    xn = _abscissa_powers(f, n, "power fit")
     v = f.values
-    size = v.size
-    if size < 3:
-        raise GridError("power fit needs at least 3 samples (2 beyond x = 0)")
-
-    x = f.xs()
-    xn = x[1:] ** n
-    if not np.all(np.isfinite(xn)):
-        raise GridError(f"abscissa power x^{n} overflows on this grid")
     c = float(np.dot(v[1:], xn) / np.dot(xn, xn))
 
-    bound = _order_bound(v, x, n)
+    bound = _order_bound(v, f.xs(), n)
 
     def gap(rows: np.ndarray, cols: np.ndarray) -> float:
         return np.max(np.abs(bound(rows, cols) - bound(cols, rows)))
 
-    return PowerFit(c, float(np.max([gap(*block) for block in _pair_blocks(size, 0, 1, 1)])))
+    return PowerFit(c, float(np.max([gap(*block) for block in _pair_blocks(v.size, 0, 1, 1)])))
 
 
-def subadditive_minorant(f: GridFunction, tol: Tolerance | None = None) -> MinorantResult:
+def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> MinorantResult:
     """Largest subadditive minorant of ``f`` via the min-plus recurrence.
 
     ``sigma[k]`` is the exact minimum over all grid partitions of ``x_k`` into
@@ -371,7 +359,6 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance | None = None) -> Minor
     ``bounded_variation`` records whether the input was non-decreasing, in
     which case the residual is a difference of two monotone functions.
     """
-    tol = tol or Tolerance()
     _require_zero_origin(f)
     _require_non_negative(f)
 

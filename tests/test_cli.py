@@ -143,6 +143,21 @@ class TestToleranceConfig:
                 "--samples", "5", "--n", "1", "--tol-rel", "2"]
         assert invoke(capsys, argv)[0] == 2
 
+    @pytest.mark.parametrize("var", ["FUNCLASS_TOL_ABS", "FUNCLASS_TOL_REL"])
+    def test_unparsable_variable_exits_2_naming_it(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        argv = ["check-order", "--expr", "x", "--to", "1", "--samples", "5", "--n", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"funclass: error: {var} must be a number, got 'abc'\n"
+
+    def test_flag_wins_over_an_unparsable_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FUNCLASS_TOL_ABS", "abc")
+        argv = ["check-order", "--expr", "x", "--to", "1", "--samples", "5", "--n", "1",
+                "--tol-abs", "1e-9"]
+        assert invoke(capsys, argv)[0] == 0
+
 
 class TestPlotCsv:
     def test_envelope_columns(self, capsys, tmp_path):
@@ -378,3 +393,23 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["minimal_order"] == 3
+
+    # A subprocess, because in-process the overflow warnings numpy gives on the way are
+    # errors under the test suite's warning filter.
+    @pytest.mark.parametrize("command, rows", [
+        (["heights", "--d", "1"], "0,-1e308\n1,1e308\n2,1e308\n3,1.5e308\n"),
+        (["power-fit", "--n", "2"], "0,0\n1,1.7e308\n2,0\n3,1e308\n"),
+    ], ids=["heights", "power-fit"])
+    def test_overflowing_report_exits_2_before_any_output(self, tmp_path, command, rows):
+        data, plot = tmp_path / "f.csv", tmp_path / "plot.csv"
+        data.write_text(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "funclass", *command, "--csv", str(data),
+             "--plot-csv", str(plot)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "funclass: error: a result overflowed to inf or NaN" in proc.stderr
+        assert not plot.exists()

@@ -158,6 +158,11 @@ class TestSample:
         with pytest.raises(fc.GridError):
             fc.sample("x", 0, 1, 1)
 
+    @pytest.mark.parametrize("step", [0.0, math.inf])
+    def test_rejects_zero_or_infinite_step(self, step):
+        with pytest.raises(fc.GridError, match=rf"^step must be finite and > 0, got {step}$"):
+            fc.sample("x", 0, step, 3)
+
 
 class TestCsv:
     def test_literal_read(self, tmp_path):
@@ -229,6 +234,14 @@ class TestCsv:
         path = tmp_path / "f.csv"
         path.write_text("0,0\n-1,1\n-2,4\n")
         with pytest.raises(fc.GridError):
+            read_csv(path)
+
+    def test_repeated_x_after_line_2_rejected(self, tmp_path):
+        # 2^53 - 1, 2^53, 2^53: the expected x of row 3, 2^53 + 1, rounds onto the repeat,
+        # so the row is on the grid and only the order check rejects it
+        path = tmp_path / "f.csv"
+        path.write_text("9007199254740991,0\n9007199254740992,1\n9007199254740992,2\n")
+        with pytest.raises(fc.GridError, match=r"^line 3: x column must be strictly increasing$"):
             read_csv(path)
 
     def test_too_few_rows(self, tmp_path):

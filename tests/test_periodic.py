@@ -139,6 +139,13 @@ class TestHeights:
         assert prof.global_d == 0.0
         assert prof.overall == 0.0
 
+    def test_hand_built_period_past_the_grid_is_rejected(self):
+        f = fc.GridFunction(0.0, 1.0, [0.0, 1.0, 2.0])
+        with pytest.raises(
+            fc.GridError, match=r"^period of 5 steps does not fit a grid with 2 intervals$"
+        ):
+            fc.heights(f, fc.PeriodSpec(5.0, 5))
+
     def test_linear_windows(self):
         f = fc.sample(lambda t: t, 0, 0.5, 5)  # x on [0, 2]
         prof = fc.heights(f, fc.PeriodSpec(d=1.0, w=2))
@@ -375,6 +382,13 @@ class TestDecompose:
         f = fc.sample(lambda t: t, 0, 0.05, 61)
         spec = fc.PeriodSpec.for_grid(f, 1.0)
         with pytest.raises(fc.GridError, match="absolute tolerance must be finite"):
+            fc.decompose(f, spec, fc.Tolerance(1e308, 0.0))
+
+    def test_too_large_tolerance_is_named_as_given(self):
+        f = fc.sample(lambda t: t, 0, 0.05, 61)
+        spec = fc.PeriodSpec.for_grid(f, 1.0)
+        given = r"tenfold .* got 1e\+308 \(10 \* 1e\+308 overflows\)$"
+        with pytest.raises(fc.GridError, match=given):
             fc.decompose(f, spec, fc.Tolerance(1e308, 0.0))
 
     @pytest.mark.parametrize("d,amplitude", [(1.0, 0.1), (1.0, 0.3), (0.5, 0.1)])

@@ -123,6 +123,10 @@ class TestClassifyShape:
     def test_sine_off_split_is_mixed(self, sine):
         assert fc.classify_shape(sine, 8) is ShapeClass.MIXED
 
+    def test_out_of_range_index(self, square):
+        with pytest.raises(fc.GridError, match=r"^split index 9 out of range \[0, 8\]$"):
+            fc.classify_shape(square, 9)
+
     def test_degenerate_side_uses_other_side(self):
         f = fc.sample("x^2", 0, 0.25, 9)
         assert fc.classify_shape(f, 0) is ShapeClass.CONVEX_CONVEX
@@ -193,6 +197,18 @@ class TestRegionStarCheck:
         assert fc.region_star_check(sine, spec, 16) == fc.region_star_check(
             sine, RegionSpec(kind, split_index=split), 16
         )
+
+    @pytest.mark.parametrize("options, message", [
+        ({"vertical_extent": 0.0}, r"^vertical_extent must be > 0, got 0\.0$"),
+        ({"vertical_samples": 1}, r"^vertical_samples must be >= 2, got 1$"),
+    ])
+    def test_degenerate_vertical_sampling_rejected(self, options, message):
+        with pytest.raises(fc.GridError, match=message):
+            RegionSpec(RegionKind.EPI, **options)
+
+    def test_out_of_range_center(self, square):
+        with pytest.raises(fc.GridError, match=r"^center index 9 out of range \[0, 8\]$"):
+            fc.region_star_check(square, RegionSpec(RegionKind.EPI), 9)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(fc.GridError, match="unknown region kind 'bogus'"):

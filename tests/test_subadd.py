@@ -241,6 +241,16 @@ class TestRatioTransform:
         with pytest.raises(fc.GridError, match=r"got -0\.5 at index 2$"):
             fc.ratio_transform(f, 2)
 
+    def test_rejects_two_samples(self):
+        f = fc.GridFunction(0.0, 1.0, [0.0, 1.0])
+        with pytest.raises(fc.GridError, match=r"^ratio transform needs at least 3 samples"):
+            fc.ratio_transform(f, 1)
+
+    def test_overflowing_abscissa_power_is_rejected_without_a_warning(self):
+        f = fc.sample("x", 0, 2.5e5, 5)  # 1e6^60 overflows
+        with pytest.raises(fc.GridError, match=r"^abscissa power x\^60 overflows on this grid$"):
+            fc.ratio_transform(f, 60)
+
 
 class TestWeakBound:
     def test_square_order_two_equality_case(self):
@@ -285,6 +295,11 @@ class TestFunctionalEquation:
         with pytest.raises(fc.GridError):
             fc.functional_equation_residual(f, 2, 1, 4)
 
+    def test_rejects_order_one(self):
+        message = r"^the symmetry equation needs integer n >= 2, got 1$"
+        with pytest.raises(fc.GridError, match=message):
+            fc.functional_equation_residual(x_power_grid(2), 1, 1, 1)
+
 
 class TestFitPower:
     def test_exact_family(self):
@@ -320,6 +335,20 @@ class TestFitPower:
                 for j in range(1, f.n - i + 1)
             )
             assert fc.fit_power(f, n).max_residual.hex() == worst.hex()
+
+    def test_rejects_order_one(self):
+        with pytest.raises(fc.GridError, match=r"^power fit needs integer n >= 2, got 1$"):
+            fc.fit_power(x_power_grid(1), 1)
+
+    def test_rejects_two_samples(self):
+        f = fc.GridFunction(0.0, 1.0, [0.0, 1.0])
+        with pytest.raises(fc.GridError, match=r"^power fit needs at least 3 samples"):
+            fc.fit_power(f, 2)
+
+    def test_overflowing_abscissa_power_is_rejected_without_a_warning(self):
+        f = fc.sample("x", 0, 2.5e5, 5)  # 1e6^60 overflows
+        with pytest.raises(fc.GridError, match=r"^abscissa power x\^60 overflows on this grid$"):
+            fc.fit_power(f, 60)
 
 
 def witness_bits(witnesses):
