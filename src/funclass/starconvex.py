@@ -25,8 +25,9 @@ each to the center ``(x_p, v[p])``.  The same slope bounds clear a whole
 column at once, and a column they do not clear goes through the same ordinate
 check as a chord: one segment test, the paper's ``t(x, f(x)) + (1 - t)(p, f(p))``
 in the epigraph or hypograph, serves both.  ``classify_shape`` reads the
-one-sided curvature at a split point from second differences; its four
-two-sided sign patterns correspond to the four region kinds.
+one-sided curvature at a split point from second differences.  One table of
+(left, right) signs gives the four shape classes and the four region kinds,
+and one side test decides both a crossing and a second difference.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ __all__ = [
 _BAND_ULPS = 16
 
 
+# The (left, right) sides of a center: +1 convex or epigraph, -1 concave or
+# hypograph.  ShapeClass and RegionKind list their members in this order.
+_SIDES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
 class ShapeClass(str, enum.Enum):
     """Curvature pattern (left side, right side) around a split point.
 
@@ -81,18 +87,16 @@ class RegionKind(str, enum.Enum):
     @property
     def sides(self) -> tuple[int, int]:
         """Membership rule (left, right) of the center: +1 epigraph, -1 hypograph."""
-        return {
-            RegionKind.EPI: (1, 1),
-            RegionKind.HYPO: (-1, -1),
-            RegionKind.SPLIT_EPI_HYPO: (1, -1),
-            RegionKind.SPLIT_HYPO_EPI: (-1, 1),
-        }[self]
+        return _REGION_SIDES[self]
 
     @property
     def is_split(self) -> bool:
         """Epigraph on one side of a split index and hypograph on the other."""
         left, right = self.sides
         return left != right
+
+
+_REGION_SIDES = dict(zip(RegionKind, _SIDES))
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,9 @@ def _chord_bounds(
     ``s <= upper[q]`` (in exact arithmetic).  With no grid point between, the
     bounds are infinite.
     """
-    scale = 2.0 * float(np.max(np.abs(v))) + margin
-    band = _BAND_ULPS * float(np.finfo(np.float64).eps) * scale
+    # the ulps of 2 * max|v| + margin, taken at half scale so they stay finite
+    half = float(np.max(np.abs(v))) + 0.5 * margin
+    band = 2.0 * (_BAND_ULPS * float(np.finfo(np.float64).eps) * half)
     slack = margin - band
     dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
     dist[p] = 1.0
@@ -196,6 +201,11 @@ def _chord_bounds(
     return dist, lower, upper, band
 
 
+def _on_side(a: np.ndarray, b: np.ndarray | float, sign: int, margin: float) -> np.ndarray:
+    """Side test: ``a >= b - margin`` for sign +1, ``a <= b + margin`` for -1."""
+    return a >= b - margin if sign > 0 else a <= b + margin
+
+
 def _first_exit(
     v: np.ndarray, p: int, q: int, ends: np.ndarray, sign: int, margin: float
 ) -> StarWitness | None:
@@ -203,16 +213,11 @@ def _first_exit(
     epigraph (``sign`` +1) or hypograph (-1) at a grid point strictly between,
     by end, then crossing; ``None`` if every segment stays inside.
     """
-    lo, hi = (p, q) if p < q else (q, p)
-    if hi - lo < 2 or ends.size == 0:
-        return None
     cp = v[p]
-    between = np.arange(lo + 1, hi)
+    between = np.arange(min(p, q) + 1, max(p, q))
     frac = (between - p) / (q - p)
     seg = cp + np.outer(ends - cp, frac)  # ends x crossings
-    graph = v[between]
-    inside = seg >= graph - margin if sign > 0 else seg <= graph + margin
-    bad = np.argwhere(~inside)
+    bad = np.argwhere(~_on_side(seg, v[between], sign, margin))
     if not bad.size:
         return None
     k, i = bad[0]
@@ -282,24 +287,14 @@ def classify_shape(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> Sha
     if not 0 <= p < v.size:
         raise GridError(f"split index {p} out of range [0, {v.size - 1}]")
     margin = tol.grid_slack(f.values)
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]  # second difference at interior index i+1
-    left = d2[: max(p - 1, 0)]  # interior indices 1 .. p-1
-    right = d2[p:]  # interior indices p+1 .. N-1
-
-    def convex(side: np.ndarray) -> bool:
-        return bool(np.all(side >= -margin))
-
-    def concave(side: np.ndarray) -> bool:
-        return bool(np.all(side <= margin))
-
-    if convex(left) and convex(right):
-        return ShapeClass.CONVEX_CONVEX
-    if concave(left) and concave(right):
-        return ShapeClass.CONCAVE_CONCAVE
-    if convex(left) and concave(right):
-        return ShapeClass.CONVEX_CONCAVE
-    if concave(left) and convex(right):
-        return ShapeClass.CONCAVE_CONVEX
+    # |second difference| <= 4 max|v|: where that overflows, take them at
+    # quarter scale, exact for every value from 2^-1020 up
+    scale = 1.0 if np.isfinite(4.0 * float(np.max(np.abs(v)))) else 0.25
+    d2 = scale * v[2:] - 2.0 * scale * v[1:-1] + scale * v[:-2]  # at interior index i+1
+    sides = (d2[: max(p - 1, 0)], d2[p:])  # interior indices 1 .. p-1 and p+1 .. N-1
+    for shape, signs in zip(ShapeClass, _SIDES):
+        if all(np.all(_on_side(d, 0.0, sign, scale * margin)) for d, sign in zip(sides, signs)):
+            return shape
     return ShapeClass.MIXED
 
 
@@ -347,7 +342,7 @@ def region_star_check(
     columns = np.concatenate((clear[left][:center_p], clear[right][center_p:]))
     for q in map(int, np.flatnonzero(~columns)):
         sign = left if q < center_p else right
-        ends = levels[levels >= v[q]] if sign > 0 else levels[levels <= v[q]]
+        ends = levels[_on_side(levels, v[q], sign, 0.0)]
         witness = _first_exit(v, center_p, q, ends, sign, margin)
         if witness is not None:
             return RegionCheckReport(ok=False, witness=witness)

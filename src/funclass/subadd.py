@@ -182,16 +182,21 @@ def _order_bound(v: np.ndarray, x: np.ndarray, n: int) -> PairBound:
 def _scan(
     f: GridFunction, n: int, tol: Tolerance, m: int, first: int, rhs: PairBound
 ) -> SubadditivityReport:
-    """Report the pairs ``a >= first``, ``b >= max(first, 1)`` failing ``v[a + b] <= rhs``."""
+    """Report the pairs ``a >= first``, ``b >= max(first, 1)`` failing ``v[a + b] <= rhs``.
+
+    Values are non-negative, so a bound, or its threshold ``bound + margin``,
+    that overflows is +inf: still an upper bound, so that overflow is ignored.
+    """
     _require_non_negative(f)
     v = f.values
     found: list[Witness] = []
-    for rows, cols in _pair_blocks(v.size, m, first, max(first, 1)):
-        lhs = v[rows + cols + m]
-        bound = rhs(rows, cols)
-        bad = ~tol.leq_array(lhs, bound)
-        pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
-        found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
+    with np.errstate(over="ignore"):
+        for rows, cols in _pair_blocks(v.size, m, first, max(first, 1)):
+            lhs = v[rows + cols + m]
+            bound = rhs(rows, cols)
+            bad = ~tol.leq_array(lhs, bound)
+            pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
+            found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
     return SubadditivityReport(order_tested=n, holds=not found, violations=tuple(found))
 
 
@@ -236,10 +241,11 @@ def minimal_order(
     _require_non_negative(f)
     v, x = f.values, f.xs()
     n = 1
-    for rows, cols in _pair_blocks(v.size, 0, 0, 1):
-        lhs = v[rows + cols]
-        while n < n_max and not np.all(tol.leq_array(lhs, _order_bound(v, x, n)(rows, cols))):
-            n += 1
+    with np.errstate(over="ignore"):  # an overflowing bound is +inf, as in _scan
+        for rows, cols in _pair_blocks(v.size, 0, 0, 1):
+            lhs = v[rows + cols]
+            while n < n_max and not np.all(tol.leq_array(lhs, _order_bound(v, x, n)(rows, cols))):
+                n += 1
     while True:
         report = check_order(f, n, tol)
         if report.holds or n == n_max:
@@ -340,7 +346,10 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
     _require_zero_origin(f)
     xn = _abscissa_powers(f, n, "power fit")
     v = f.values
-    c = float(np.dot(v[1:], xn) / np.dot(xn, xn))
+    # x^n scaled by a power of two to below 1, so its squares cannot overflow
+    _, e = np.frexp(np.max(xn))
+    xs = np.ldexp(xn, -e)
+    c = float(np.ldexp(np.dot(v[1:], xs) / np.dot(xs, xs), -e))
 
     bound = _order_bound(v, f.xs(), n)
 
@@ -364,14 +373,17 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> Minor
 
     v = f.values
     sigma = v.copy()
-    for k in range(2, v.size):
-        best = float(np.min(sigma[1:k] + v[k - 1:0:-1]))
-        if best < sigma[k]:
-            sigma[k] = best
+    # Values are non-negative, so a partition sum that overflows is +inf, never
+    # the minimum, and a threshold v + margin that does accepts: both are ignored.
+    with np.errstate(over="ignore"):
+        for k in range(2, v.size):
+            best = float(np.min(sigma[1:k] + v[k - 1:0:-1]))
+            if best < sigma[k]:
+                sigma[k] = best
+        non_decreasing = bool(np.all(tol.leq_array(v[:-1], v[1:])))
 
     residual = v - sigma
     defect = float(np.max(residual))
-    non_decreasing = bool(np.all(tol.leq_array(v[:-1], v[1:])))
     return MinorantResult(
         sigma=f.with_values(sigma),
         residual=f.with_values(residual),

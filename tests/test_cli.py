@@ -120,6 +120,12 @@ class TestSources:
     def test_unknown_command_exits_2(self, capsys):
         assert invoke(capsys, ["frobnicate"])[0] == 2
 
+    def test_one_sample_exits_2_before_the_step_divides_by_zero(self, capsys):
+        argv = ["check-order", "--expr", "x", "--to", "1", "--samples", "1", "--n", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "funclass: error: --samples must be at least 2, got 1\n"
+
 
 class TestToleranceConfig:
     def test_env_override(self, capsys, monkeypatch):

@@ -109,6 +109,12 @@ class TestGridFunction:
         assert np.array_equal((2.0 * f).values, [2.0, 4.0, 6.0])
         assert np.array_equal((f**2).values, [1.0, 4.0, 9.0])
 
+    def test_power_rejects_a_non_positive_exponent(self):
+        f = fc.GridFunction(0.0, 1.0, [1.0, 2.0])
+        message = r"^pointwise power expects a positive integer, got 0$"
+        with pytest.raises(fc.GridError, match=message):
+            f**0
+
     def test_arithmetic_rejects_mismatched_grids(self):
         f = fc.GridFunction(0.0, 1.0, [1.0, 2.0])
         g = fc.GridFunction(0.0, 0.5, [1.0, 2.0])

@@ -127,6 +127,41 @@ class TestClassifyShape:
         with pytest.raises(fc.GridError, match=r"^split index 9 out of range \[0, 8\]$"):
             fc.classify_shape(square, 9)
 
+    def test_matches_the_four_branch_rule(self):
+        rng = np.random.default_rng(97)
+        grids = []
+        for _ in range(150):
+            n = int(rng.integers(2, 16))
+            x = np.linspace(-1.0, 1.0, n)
+            split = rng.uniform(-1.0, 1.0)
+            scale = 10.0 ** int(rng.integers(-9, 6))
+            grids += [
+                rng.normal(size=n),
+                rng.integers(-2, 3, n).astype(float),  # exact ties and affine stretches
+                scale * np.where(x < split, -(x - split) ** 2, (x - split) ** 2),
+                scale * np.abs(x - split) + rng.normal(scale=1e-3, size=n),
+                np.cumsum(np.cumsum(rng.normal(scale=1e-6, size=n))),  # d2 near 1e-6
+                0.3 + 0.1 * np.arange(n),  # collinear, not dyadic
+            ]
+        for values in grids:
+            f = fc.GridFunction(-1.0, 0.125, values)
+            for tol in (fc.Tolerance(), fc.Tolerance(0.0, 0.0), fc.Tolerance(1e-3, 0.0),
+                        fc.Tolerance(0.0, 1e-6)):
+                for p in range(f.values.size):
+                    assert fc.classify_shape(f, p, tol) is four_branch_class(f, p, tol), (f, p, tol)
+
+    def test_constant_grid_near_the_float_range_is_convex_convex(self):
+        f = fc.GridFunction(0.0, 1.0, [1e308] * 5)
+        rep = fc.central_set(f)
+        assert rep.centers == tuple(range(5))
+        assert set(rep.per_center_class.values()) == {ShapeClass.CONVEX_CONVEX}
+
+    def test_subnormal_second_difference_keeps_its_sign(self):
+        # at full scale the second difference -5e-324 stays negative; at
+        # quarter scale it would round to zero and tie to convex-convex
+        f = fc.GridFunction(0.0, 1.0, [-5e-324, 0.0, 0.0])
+        assert fc.classify_shape(f, 0, fc.Tolerance(0.0, 0.0)) is ShapeClass.CONCAVE_CONCAVE
+
     def test_degenerate_side_uses_other_side(self):
         f = fc.sample("x^2", 0, 0.25, 9)
         assert fc.classify_shape(f, 0) is ShapeClass.CONVEX_CONVEX
@@ -210,6 +245,10 @@ class TestRegionStarCheck:
         with pytest.raises(fc.GridError, match=r"^center index 9 out of range \[0, 8\]$"):
             fc.region_star_check(square, RegionSpec(RegionKind.EPI), 9)
 
+    def test_out_of_range_split_index(self, square):
+        with pytest.raises(fc.GridError, match=r"^split index 99 out of range$"):
+            fc.region_star_check(square, RegionSpec("epi", split_index=99), 4)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(fc.GridError, match="unknown region kind 'bogus'"):
             RegionSpec("bogus")
@@ -237,10 +276,10 @@ class TestRegionStarCheck:
 
 class TestNegationSymmetry:
     @staticmethod
-    def _side_flags(f, p):
+    def _side_flags(f, p, tol=fc.Tolerance()):
         """(convex, concave) flags per side from second differences."""
         v = f.values
-        margin = 1e-9 + 1e-12 * float(np.max(np.abs(v)))
+        margin = tol.abs + tol.rel * float(np.max(np.abs(v)))
         d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
         out = []
         for side in (d2[: max(p - 1, 0)], d2[p:]):
@@ -268,6 +307,20 @@ class TestNegationSymmetry:
                     assert fc.classify_shape(-f, p) is fc.classify_shape(f, p)
                 else:
                     assert neg.per_center_class[p] is swap[rep.per_center_class[p]]
+
+
+def four_branch_class(f, p, tol):
+    """The class as a hand-written rule: the first fitting pattern, else mixed."""
+    (left_cvx, left_ccv), (right_cvx, right_ccv) = TestNegationSymmetry._side_flags(f, p, tol)
+    if left_cvx and right_cvx:
+        return ShapeClass.CONVEX_CONVEX
+    if left_ccv and right_ccv:
+        return ShapeClass.CONCAVE_CONCAVE
+    if left_cvx and right_ccv:
+        return ShapeClass.CONVEX_CONCAVE
+    if left_ccv and right_cvx:
+        return ShapeClass.CONCAVE_CONVEX
+    return ShapeClass.MIXED
 
 
 class TestSharedCenterClosure:
@@ -340,6 +393,14 @@ ORACLE_TOLERANCES = [
 
 
 class TestAgainstBruteforce:
+    # near the float range, where the rounding band at full scale overflows
+    @pytest.mark.parametrize("values", [[1e308] * 5, [0.0, 1.7e308, 0.0, 1e308]], ids=str)
+    def test_centers_near_the_float_range(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        with np.errstate(all="ignore"):
+            want = tuple(p for p in range(f.values.size) if is_center_bruteforce(f, p))
+        assert fc.central_set(f).centers == want
+
     @pytest.mark.parametrize("tol", ORACLE_TOLERANCES, ids=repr)
     def test_centers_match_every_chord_scan(self, tol):
         for f in oracle_grids():

@@ -68,6 +68,13 @@ class TestCheckOrder:
         pairs = [w.indices for w in rep.violations]
         assert pairs == sorted(pairs)
 
+    def test_offset_origin_must_be_a_step_multiple(self):
+        f = fc.GridFunction(0.3, 0.25, [1.0, 1.0, 1.0])
+        message = (r"^grid origin 0\.3 must be a non-negative integer multiple of the step "
+                   r"0\.25 for subadditivity checks$")
+        with pytest.raises(fc.GridError, match=message):
+            fc.check_order_offset(f, 1)
+
     def test_rejects_nonzero_origin(self):
         f = fc.GridFunction(1.0, 0.5, [0.0, 1.0, 2.0])
         calls = [
@@ -350,6 +357,20 @@ class TestFitPower:
         with pytest.raises(fc.GridError, match=r"^abscissa power x\^60 overflows on this grid$"):
             fc.fit_power(f, 60)
 
+    def test_overflowing_squares_of_the_abscissa_power(self):
+        # 1e4^40 is finite but its square is not; c is sum x^41 / sum x^80
+        c = fc.fit_power(fc.sample("x", 0, 2500, 5), 40).c
+        assert math.isclose(c, 1.0000075423381903e-156, rel_tol=1e-12)
+
+    def test_coefficient_is_the_plain_quotient_when_nothing_overflows(self):
+        rng = np.random.default_rng(6163)
+        for _ in range(60):
+            f = random_nonneg_grid(rng, 24)
+            n = int(rng.integers(2, 9))
+            xn = f.xs()[1:] ** n
+            plain = float(np.dot(f.values[1:], xn) / np.dot(xn, xn))
+            assert fc.fit_power(f, n).c.hex() == plain.hex()
+
 
 def witness_bits(witnesses):
     return [(w.indices, w.lhs.hex(), w.rhs.hex()) for w in witnesses]
@@ -405,6 +426,30 @@ class TestPairScanAgainstOracle:
         expected = [fc.fit_power(f, n).max_residual.hex() for f, n in grids]
         monkeypatch.setattr(subadd, "PAIR_BLOCK", 3)
         assert [fc.fit_power(f, n).max_residual.hex() for f, n in grids] == expected
+
+
+NEAR_FLOAT_RANGE = [
+    [0.0, 1.7e308, 0.0, 1e308],
+    [0.0, 1.7976931348623157e308, 0.0],  # the acceptance threshold overflows too
+]
+
+
+class TestOverflowingSums:
+    """Sums of non-negative values past the float range are +inf, without a warning."""
+
+    @pytest.mark.parametrize("values", NEAR_FLOAT_RANGE, ids=str)
+    def test_pair_scans_hold(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        assert fc.check_order(f, 1).holds
+        assert fc.check_weak_bound(f, 1).holds
+        assert fc.minimal_order(f, 3).minimal_order == 1
+
+    @pytest.mark.parametrize("values", NEAR_FLOAT_RANGE, ids=str)
+    def test_minorant(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        with np.errstate(over="ignore"):
+            want = [minorant_bruteforce(f, k) for k in range(f.values.size)]
+        assert fc.subadditive_minorant(f).sigma.values.tolist() == want
 
 
 class TestSubadditiveMinorant:
