@@ -14,7 +14,9 @@ than ``_MAX_DEPTH`` (200) levels of parentheses, operators and calls is a
 recursion limit in parsing, printing or evaluation.  Evaluation is total on its
 domain: out-of-domain input (log of a non-positive number, square root of a
 negative, division by zero) raises :class:`EvalError` rather than returning NaN
-or infinity.
+or infinity.  :func:`evaluate_array` evaluates over a whole array with the
+same bits as :func:`evaluate` at each element; each table entry carries both
+implementations.
 """
 
 from __future__ import annotations
@@ -24,25 +26,52 @@ import operator
 import re
 from dataclasses import dataclass
 
-__all__ = ["EvalError", "Expr", "ParseError", "evaluate", "parse", "to_text"]
+import numpy as np
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
+__all__ = ["EvalError", "Expr", "ParseError", "evaluate", "evaluate_array", "parse", "to_text"]
+
+
+def _elementwise(fn, arity: int):
+    """Array form of a ``math`` function: ``fn`` itself on every element."""
+    ufunc = np.frompyfunc(fn, arity, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=np.float64)
+
+
+def _divide(a, b):
+    # Python raises on every zero divisor, -0.0 included, where numpy gives inf or NaN
+    if np.any(b == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return np.divide(a, b)
+
+
+def _sqrt(a):
+    if np.any(a < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(a)
+
+
+# Each operator and function has a scalar implementation for evaluate() and an
+# array one for evaluate_array() that gives the same bits and raises where the
+# scalar one raises at some element.
+_BINARY = {  # op -> (scalar, array)
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, _divide),
+    "^": (math.pow, _elementwise(math.pow, 2)),
 }
-_FUNCTIONS = {  # name -> (arity, implementation)
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "exp": (1, math.exp),
-    "log": (1, math.log),
-    "sqrt": (1, math.sqrt),
-    "abs": (1, abs),
-    "min": (2, min),
-    "max": (2, max),
-    "pow": (2, math.pow),
+_FUNCTIONS = {  # name -> (arity, scalar, array)
+    "sin": (1, math.sin, _elementwise(math.sin, 1)),
+    "cos": (1, math.cos, _elementwise(math.cos, 1)),
+    "exp": (1, math.exp, _elementwise(math.exp, 1)),
+    "log": (1, math.log, _elementwise(math.log, 1)),
+    "sqrt": (1, math.sqrt, _sqrt),
+    "abs": (1, abs, np.abs),
+    # Python's min and max return the first argument unless the second is
+    # strictly smaller or larger, which decides NaN and signed zeros
+    "min": (2, min, lambda a, b: np.where(b < a, b, a)),
+    "max": (2, max, lambda a, b: np.where(b > a, b, a)),
+    "pow": (2, math.pow, _elementwise(math.pow, 2)),
 }
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -273,26 +302,46 @@ def to_text(e: Expr) -> str:
 
 
 def evaluate(e: Expr, x: float) -> float:
+    return _evaluate(e, x, 0)
+
+
+def evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
+    """:func:`evaluate` at every element of ``x``, bit for bit, in one pass per node.
+
+    ``+ - * /``, negation, ``abs`` and ``sqrt`` are numpy ufuncs, correctly
+    rounded like Python's float operations; ``sin cos exp log`` and
+    ``pow``/``^`` call the ``math`` functions on each element.  Raises
+    :class:`EvalError`, without naming the element, exactly when
+    :func:`evaluate` raises at some element; non-finite results are returned
+    as they are, and no floating-point warning is issued.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return np.array(np.broadcast_to(_evaluate(e, x, 1), x.shape), dtype=np.float64)
+
+
+def _evaluate(e: Expr, x, impl: int):
+    """Evaluate with the scalar (``impl`` 0) or array (1) implementations."""
     kind = type(e)
     if kind is Num:
         return e.value
     if kind is Var:
         return x
     if kind is Neg:
-        return -evaluate(e.operand, x)
+        return -_evaluate(e.operand, x, impl)
     if kind is Bin:
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
+        a = _evaluate(e.left, x, impl)
+        b = _evaluate(e.right, x, impl)
         try:
-            return _BINARY[e.op](a, b)
+            return _BINARY[e.op][impl](a, b)
         except ZeroDivisionError:
             raise EvalError(f"division by zero: {a!r} / {b!r}") from None
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"domain error in {a!r} {e.op} {b!r}: {exc}") from None
     if kind is Call:
-        args = [evaluate(a, x) for a in e.args]
+        args = [_evaluate(a, x, impl) for a in e.args]
         try:
-            return _FUNCTIONS[e.name][1](*args)
+            return _FUNCTIONS[e.name][1 + impl](*args)
         except (ValueError, OverflowError) as exc:
             raise EvalError(f"domain error in {e.name}({args!r}): {exc}") from None
     raise TypeError(f"not an expression node: {e!r}")

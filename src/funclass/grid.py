@@ -90,6 +90,10 @@ class Tolerance:
 
 _ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
 MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
+# Points per array pass of an expression in sample(), and rows per write in
+# write_csv(): bounds every temporary independently of the grid size, a deep
+# expression's stack of operand arrays included.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +207,7 @@ class GridFunction:
         return {
             "origin": self.origin,
             "step": self.step,
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
         }
 
     @classmethod
@@ -234,32 +238,56 @@ def sample(
 ) -> GridFunction:
     """Build a GridFunction from an expression string, a callable, or a table.
 
-    Expression strings are parsed by :mod:`funclass.expr`.  A table must have
-    exactly ``count`` entries.  Evaluation that produces a non-finite value is
-    rejected with the offending abscissa in the message.
+    Expression strings are parsed by :mod:`funclass.expr` and evaluated over
+    ``_CHUNK`` points at a time with :func:`funclass.expr.evaluate_array`,
+    which gives the bits :func:`funclass.expr.evaluate` gives point by point.
+    A callable is called once per point.  A table must have exactly ``count``
+    entries.  Evaluation that fails or produces a non-finite value is rejected
+    with the first offending abscissa in the message.
     """
     if count < 2:
         raise GridError(f"need at least 2 samples, got count={count}")
     if not (math.isfinite(step) and step > 0.0):
         raise GridError(f"step must be finite and > 0, got {step}")
 
+    vals = np.empty(count, dtype=np.float64)
     if isinstance(source, str):
         from . import expr  # local import: expr depends on nothing here
 
         ast = expr.parse(source)
-        fn: Callable[[float], float] = lambda t: expr.evaluate(ast, t)
+        for start in range(0, count, _CHUNK):
+            stop = min(start + _CHUNK, count)
+            with np.errstate(over="ignore"):  # x past the float range is inf, as in the loop
+                xs = origin + np.arange(start, stop) * step
+            try:
+                chunk = expr.evaluate_array(ast, xs)
+            except expr.EvalError:
+                chunk = None
+            if chunk is not None and np.isfinite(chunk).all():
+                vals[start:stop] = chunk
+            else:  # the scalar loop names the first failing x, with evaluate's message
+                _sample_points(lambda t: expr.evaluate(ast, t), origin, step, vals, start, stop)
     elif callable(source):
-        fn = source
+        _sample_points(source, origin, step, vals, 0, count)
     else:
-        table = np.asarray(list(source), dtype=np.float64)
-        if table.size != count:
-            raise GridError(f"table has {table.size} entries, expected count={count}")
-        return GridFunction(origin, step, table)
+        vals = np.asarray(list(source), dtype=np.float64)
+        if vals.size != count:
+            raise GridError(f"table has {vals.size} entries, expected count={count}")
+    return GridFunction(origin, step, vals)
 
+
+def _sample_points(
+    fn: Callable[[float], float],
+    origin: float,
+    step: float,
+    vals: np.ndarray,
+    start: int,
+    stop: int,
+) -> None:
+    """Fill ``vals[start:stop]`` one point at a time; the first failing point raises."""
     from .expr import EvalError
 
-    vals = np.empty(count, dtype=np.float64)
-    for i in range(count):
+    for i in range(start, stop):
         xi = origin + i * step
         try:
             vals[i] = float(fn(xi))
@@ -267,13 +295,17 @@ def sample(
             raise GridError(f"evaluation failed at x={xi!r}: {exc}") from exc
         if not math.isfinite(vals[i]):
             raise GridError(f"non-finite value {vals[i]} at x={xi!r}")
-    return GridFunction(origin, step, vals)
 
 
 def write_csv(f: GridFunction, path: str | Path) -> None:
     """Write rows ``x,y`` with shortest round-trip float formatting."""
-    lines = [f"{f.x(i)!r},{float(v)!r}" for i, v in enumerate(f.values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with np.errstate(over="ignore"):  # an abscissa past the float range is written as inf
+        xs = f.xs()
+    with Path(path).open("w", encoding="utf-8") as out:
+        for start in range(0, xs.size, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            lines = map("{!r},{!r}\n".format, xs[rows].tolist(), f.values[rows].tolist())
+            out.write("".join(lines))
 
 
 def _read_text(path: str | Path) -> str:

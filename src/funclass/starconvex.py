@@ -18,6 +18,8 @@ slack a few ulps of ``2 * max|v| + margin`` smaller, and a chord it does not
 pass is decided by evaluating its ordinates, as the definition reads.  A chord
 that passes only over points equal to ``v[p]`` needs no such check: its
 ordinates round to one side of ``v[p]``, so it is one-sided at any slack.
+Where a difference of two values could overflow, both tests run on the values
+and the margin at quarter scale, an exact power of two.
 
 ``region_star_check`` samples points of an epigraph or hypograph region (or
 of a split union of both, its side given by ``RegionKind.sides``) and joins
@@ -33,6 +35,7 @@ and one side test decides both a crossing and a second difference.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,16 @@ _BAND_ULPS = 16
 # The (left, right) sides of a center: +1 convex or epigraph, -1 concave or
 # hypograph.  ShapeClass and RegionKind list their members in this order.
 _SIDES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _scale_for(*magnitudes: float) -> float:
+    """1, or 1/4 where four times the largest magnitude overflows.
+
+    Differences of values, a margin and chord ordinates built from them stay
+    below four times the largest; quarter scale keeps them finite and is exact
+    for every value from 2^-1020 up, so no comparison changes.
+    """
+    return 1.0 if math.isfinite(4.0 * max(magnitudes)) else 0.25
 
 
 class ShapeClass(str, enum.Enum):
@@ -172,9 +185,11 @@ class StarReport:
 
 
 def _chord_bounds(
-    v: np.ndarray, p: int, margin: float
+    v: np.ndarray, p: int, margin: float, top: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Slope bounds for chords from ``(p, v[p])``, slopes in value per grid step.
+
+    ``top`` is ``max|v|``, which every caller has already computed.
 
     Returns ``dist = |q - p|`` (1 at ``p`` so slopes stay finite), the per-``q``
     bounds ``lower``/``upper`` and ``band``, how far slopes and chord ordinates
@@ -185,7 +200,7 @@ def _chord_bounds(
     bounds are infinite.
     """
     # the ulps of 2 * max|v| + margin, taken at half scale so they stay finite
-    half = float(np.max(np.abs(v))) + 0.5 * margin
+    half = top + 0.5 * margin
     band = 2.0 * (_BAND_ULPS * float(np.finfo(np.float64).eps) * half)
     slack = margin - band
     dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
@@ -249,7 +264,11 @@ def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
     margin = tol.grid_slack(v)
-    dist, lower, upper, band = _chord_bounds(v, p, margin)
+    top = float(np.abs(v).max())
+    scale = _scale_for(top, margin)
+    if scale != 1.0:  # central_set calls this once per grid point: no copies when unscaled
+        v, margin, top = scale * v, scale * margin, scale * top
+    dist, lower, upper, band = _chord_bounds(v, p, margin, top)
     slope = (v - v[p]) / dist
     # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
     # so a chord this far past both bounds fails the ordinate test
@@ -287,9 +306,7 @@ def classify_shape(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> Sha
     if not 0 <= p < v.size:
         raise GridError(f"split index {p} out of range [0, {v.size - 1}]")
     margin = tol.grid_slack(f.values)
-    # |second difference| <= 4 max|v|: where that overflows, take them at
-    # quarter scale, exact for every value from 2^-1020 up
-    scale = 1.0 if np.isfinite(4.0 * float(np.max(np.abs(v)))) else 0.25
+    scale = _scale_for(float(np.max(np.abs(v))))  # |second difference| <= 4 max|v|
     d2 = scale * v[2:] - 2.0 * scale * v[1:-1] + scale * v[:-2]  # at interior index i+1
     sides = (d2[: max(p - 1, 0)], d2[p:])  # interior indices 1 .. p-1 and p+1 .. N-1
     for shape, signs in zip(ShapeClass, _SIDES):
@@ -323,18 +340,19 @@ def region_star_check(
 
     margin = tol.grid_slack(f.values)
     left, right = region.kind.sides
-    levels = np.linspace(
-        float(np.min(v)) - region.vertical_extent,
-        float(np.max(v)) + region.vertical_extent,
-        region.vertical_samples,
-    )
+    lo = float(np.min(v)) - region.vertical_extent
+    hi = float(np.max(v)) + region.vertical_extent
+    scale = _scale_for(abs(lo), abs(hi), margin)  # both bound max|v|
+    if scale != 1.0:
+        v, margin = scale * v, scale * margin
+    levels = np.linspace(scale * lo, scale * hi, region.vertical_samples)
     cp = v[center_p]
 
     # The crossings of a column lie on its side of the center and share its
     # sign, and a segment's slope grows with its level: an epigraph column
     # holds iff its lowest selected level does, a hypograph column iff its
     # highest does.  Columns not surely holding get the sampled check.
-    dist, lower, upper, _ = _chord_bounds(v, center_p, margin)
+    dist, lower, upper, _ = _chord_bounds(v, center_p, margin, float(np.abs(v).max()))
     ordered = np.sort(levels)  # searchsorted needs ascending levels
     lowest = ordered[np.minimum(np.searchsorted(ordered, v, "left"), ordered.size - 1)]
     highest = ordered[np.maximum(np.searchsorted(ordered, v, "right") - 1, 0)]
@@ -343,7 +361,10 @@ def region_star_check(
     for q in map(int, np.flatnonzero(~columns)):
         sign = left if q < center_p else right
         ends = levels[_on_side(levels, v[q], sign, 0.0)]
-        witness = _first_exit(v, center_p, q, ends, sign, margin)
-        if witness is not None:
+        w = _first_exit(v, center_p, q, ends, sign, margin)
+        if w is not None:
+            witness = StarWitness(
+                q, w.level / scale, w.crossing, w.segment_value / scale, w.graph_value / scale
+            )
             return RegionCheckReport(ok=False, witness=witness)
     return RegionCheckReport(ok=True, witness=None)

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import funclass as fc
+from funclass import grid
 from funclass.expr import (
     Bin,
     Call,
@@ -14,6 +17,7 @@ from funclass.expr import (
     ParseError,
     Var,
     evaluate,
+    evaluate_array,
     parse,
     to_text,
 )
@@ -104,6 +108,7 @@ class TestNestingDepth:
         ast = parse(text)
         assert parse(to_text(ast)) == ast
         assert evaluate(ast, 1.0) == value
+        assert evaluate_array(ast, np.ones(3)).tolist() == [value] * 3
 
 
 class TestEvaluation:
@@ -141,7 +146,7 @@ def _random_ast(rng: random.Random, depth: int):
         op = rng.choice("+-*/^")
         return Bin(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
     if kind == 2:
-        name = rng.choice(["sin", "cos", "exp", "sqrt", "abs", "min", "max", "pow"])
+        name = rng.choice(["sin", "cos", "exp", "log", "sqrt", "abs", "min", "max", "pow"])
         arity = 2 if name in ("min", "max", "pow") else 1
         return Call(name, tuple(_random_ast(rng, depth - 1) for _ in range(arity)))
     return _random_ast(rng, 0)
@@ -174,3 +179,119 @@ class TestRoundTrip:
             parse(text)
         except ParseError:
             pass
+
+
+# Zero of both signs, negatives, tiny and huge magnitudes, and points where
+# np.power and math.pow (or x^2 and x*x) round differently.
+GRID = np.concatenate(
+    [np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, 710.0]]
+)
+
+
+def _hex_or_error(ast, x: float) -> str:
+    try:
+        return evaluate(ast, x).hex()
+    except EvalError:
+        return "error"
+
+
+class TestArrayEvaluation:
+    def test_matches_scalar_bit_for_bit_on_random_asts(self):
+        rng = random.Random(20261018)
+        for _ in range(1500):
+            ast = _random_ast(rng, depth=rng.randint(1, 4))
+            want = [_hex_or_error(ast, x) for x in GRID.tolist()]
+            if "error" in want:  # raised exactly when some element raises
+                with pytest.raises(EvalError):
+                    evaluate_array(ast, GRID)
+                continue
+            got = [v.hex() for v in evaluate_array(ast, GRID).tolist()]
+            assert got == want, to_text(ast)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^2", "x*x", "pow(x, 3.5)", "exp(x) + log(abs(x) + 1)", "sin(x) * cos(x)",
+         "min(-x, 0) - max(x, -0)", "min(0/1, -0) + 1/max(-0, 0/1)", "1/min(x - x, -0)"],
+    )
+    def test_signed_zeros_and_math_rounding(self, text):
+        ast = parse(text)
+        want = [_hex_or_error(ast, x) for x in GRID.tolist()]
+        if "error" in want:
+            with pytest.raises(EvalError):
+                evaluate_array(ast, GRID)
+        else:
+            assert [v.hex() for v in evaluate_array(ast, GRID).tolist()] == want
+
+    def test_constant_expression_fills_the_array(self):
+        out = evaluate_array(parse("2 + pi"), GRID)
+        assert out.shape == GRID.shape and out.dtype == np.float64
+        assert np.all(out == 2 + math.pi)
+
+    def test_no_warning_on_overflow_or_nan(self):
+        # the suite turns RuntimeWarning into an error; Python floats never warn
+        out = evaluate_array(parse("1e308*x*10 - 1e308*x*10"), np.array([1.0, 0.01]))
+        assert np.isnan(out[0]) and out[1] == 0.0
+
+
+def _sample_by_points(text, origin, step, count):
+    """The scalar loop that sample() falls back to, over the whole grid."""
+    ast = parse(text)
+    return fc.sample(lambda t: evaluate(ast, t), origin, step, count)
+
+
+class TestSampleOverArrays:
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_matches_the_scalar_loop_across_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(grid, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        for _ in range(150):
+            ast = _random_ast(rng, depth=rng.randint(1, 4))
+            text = to_text(ast)
+            try:
+                want = _sample_by_points(text, -2.0, 0.0625, 65)
+            except fc.GridError as exc:
+                with pytest.raises(fc.GridError) as got:
+                    fc.sample(text, -2.0, 0.0625, 65)
+                assert str(got.value) == str(exc), text
+                continue
+            got = fc.sample(text, -2.0, 0.0625, 65)
+            assert [v.hex() for v in got.values.tolist()] == [
+                v.hex() for v in want.values.tolist()
+            ], text
+
+    def test_the_periodic_benchmark_expression_past_one_chunk(self):
+        text = "x + 0.17*log(2 + cos(2*pi*x)) + 0.22*exp(sin(2*pi*x))"
+        count = grid._CHUNK + 257
+        got = fc.sample(text, -3.0, 0.001, count)
+        assert np.array_equal(got.values, _sample_by_points(text, -3.0, 0.001, count).values)
+
+    @pytest.mark.parametrize(
+        "text, origin, step, count, message",
+        [
+            # finite in numpy (min(inf, 1) is 1), a division by zero to Python
+            ("min(x/0, 1)", -1.0, 0.5, 5,
+             "evaluation failed at x=-1.0: division by zero: -1.0 / 0.0"),
+            ("sqrt(x - 1)", 0.0, 0.5, 5,
+             "evaluation failed at x=0.0: domain error in sqrt([-1.0]): math domain error"),
+            ("log(x)", 0.0, 0.5, 5,
+             "evaluation failed at x=0.0: domain error in log([0.0]): math domain error"),
+            ("exp(1000*x)", 0.0, 0.125, 9,
+             "evaluation failed at x=0.75: domain error in exp([750.0]): math range error"),
+            ("1e308*x*10", 0.25, 0.25, 5, "non-finite value inf at x=0.25"),
+            # first bad points past the first chunk
+            ("1/(x - 20000)", 0.0, 1.0, 20001,
+             "evaluation failed at x=20000.0: division by zero: 1.0 / 0.0"),
+            ("sqrt(17000.5 - x)", 0.0, 1.0, 20001,
+             "evaluation failed at x=17001.0: domain error in sqrt([-0.5]): math domain error"),
+            ("1/(x - 19000.5) + 1e308*10^(x - 19000)", 0.0, 1.0, 20001,
+             "non-finite value inf at x=19001.0"),
+        ],
+    )
+    def test_errors_name_the_first_failing_x_as_the_scalar_loop_does(
+        self, text, origin, step, count, message
+    ):
+        with pytest.raises(fc.GridError) as scalar:
+            _sample_by_points(text, origin, step, count)
+        with pytest.raises(fc.GridError) as fast:
+            fc.sample(text, origin, step, count)
+        assert str(fast.value) == str(scalar.value) == message

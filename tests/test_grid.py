@@ -426,6 +426,36 @@ class TestMalformedJson:
         assert f"non-finite value {values[k]} at index {k}" in str(got)
 
 
+def _writer_grids():
+    rng = np.random.default_rng(7)
+    return [
+        fc.GridFunction(0.0, 0.25, [0.0, -0.0, 5e-324, -1.5, 1e300]),
+        fc.GridFunction(-3.0, 1e-6, rng.normal(size=40001)),  # past two write blocks
+        fc.GridFunction(1.0, 1e-6, np.zeros(1001)),  # abscissae with roundoff
+        fc.GridFunction(-0.0, 0.1, rng.uniform(-1e-310, 1e-310, 50)),
+        fc.GridFunction(1e308, 1e308, [0.0, 1.0, 2.0]),  # the last abscissa is inf
+    ]
+
+
+class TestWriters:
+    """The array writers give the bytes the per-element formatting gave."""
+
+    @pytest.mark.parametrize("f", _writer_grids(), ids=range(5))
+    def test_csv_bytes_match_per_row_formatting(self, f, tmp_path):
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        rows = [f"{f.x(i)!r},{float(v)!r}" for i, v in enumerate(f.values)]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("f", _writer_grids(), ids=range(5))
+    def test_json_bytes_match_per_value_conversion(self, f, tmp_path):
+        path = tmp_path / "f.json"
+        write_json(f, path)
+        old = {"origin": f.origin, "step": f.step, "values": [float(v) for v in f.values]}
+        assert path.read_bytes() == (json.dumps(old) + "\n").encode()
+        assert all(type(v) is float for v in f.to_dict()["values"])
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         f = fc.sample("x^2", 0, 0.25, 5)

@@ -10,7 +10,7 @@ from funclass.oracle import (
     is_center_bruteforce,
     region_star_check_bruteforce,
 )
-from funclass.starconvex import RegionKind, RegionSpec, ShapeClass
+from funclass.starconvex import RegionKind, RegionSpec, ShapeClass, StarWitness
 
 PI = math.pi
 
@@ -400,6 +400,44 @@ class TestAgainstBruteforce:
         with np.errstate(all="ignore"):
             want = tuple(p for p in range(f.values.size) if is_center_bruteforce(f, p))
         assert fc.central_set(f).centers == want
+
+    # Mixed signs near the float range: chords from -1e308 to 1e308 rise past
+    # the largest double.  The oracle's own ordinates overflow there to +inf,
+    # which it reads as inside the epigraph, so it runs on the grid at quarter
+    # scale: an exact power of two under which Tolerance(0, rel) scales too.
+    MIXED_NEAR_RANGE = [
+        [-1e308, 1e308, 0.0, 1e308],
+        [1e308, -1e308, 0.0, -1e308],
+        [-1.7e308, 1.7e308, -1.7e308, 1.7e308, 0.0],
+        [0.0, -1.7e308, 1e308, 1.7e308, -1e308, 0.5],
+    ]
+
+    @pytest.mark.parametrize("values", MIXED_NEAR_RANGE, ids=str)
+    def test_centers_with_mixed_signs_near_the_float_range(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        tol = fc.Tolerance(0.0, 1e-12)
+        quarter = f.with_values(0.25 * f.values)
+        want = tuple(p for p in range(f.values.size) if is_center_bruteforce(quarter, p, tol))
+        assert fc.central_set(f, tol).centers == want
+        assert fc.central_set(f).centers == want  # an abs margin of 1e-9 is far below an ulp
+
+    @pytest.mark.parametrize("values", MIXED_NEAR_RANGE, ids=str)
+    def test_regions_with_mixed_signs_near_the_float_range(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        tol = fc.Tolerance(0.0, 1e-12)
+        quarter = f.with_values(0.25 * f.values)
+        for p in range(f.values.size):
+            for kind in RegionKind:
+                split = p if kind.is_split else None
+                got = fc.region_star_check(f, RegionSpec(kind, split, 4.0, 16), p, tol)
+                spec = RegionSpec(kind, split, 1.0, 16)
+                want = region_star_check_bruteforce(quarter, spec, p, tol)
+                assert got.ok == want.ok, (kind, p)
+                if want.witness is not None:
+                    w = want.witness
+                    assert got.witness == StarWitness(
+                        w.column, 4 * w.level, w.crossing, 4 * w.segment_value, 4 * w.graph_value
+                    ), (kind, p)
 
     @pytest.mark.parametrize("tol", ORACLE_TOLERANCES, ids=repr)
     def test_centers_match_every_chord_scan(self, tol):
