@@ -137,6 +137,8 @@ class RegionSpec:
             raise GridError(f"region kind {self.kind.value!r} requires split_index")
         if not self.vertical_extent > 0.0:
             raise GridError(f"vertical_extent must be > 0, got {self.vertical_extent!r}")
+        if not math.isfinite(self.vertical_extent):
+            raise GridError(f"vertical_extent must be finite, got {self.vertical_extent!r}")
         if self.vertical_samples < 2:
             raise GridError(f"vertical_samples must be >= 2, got {self.vertical_samples!r}")
 
@@ -342,6 +344,11 @@ def region_star_check(
     left, right = region.kind.sides
     lo = float(np.min(v)) - region.vertical_extent
     hi = float(np.max(v)) + region.vertical_extent
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # the levels would be NaN
+        raise GridError(
+            f"vertical_extent {region.vertical_extent!r} takes the sampled levels "
+            "past the float range on this grid"
+        )
     scale = _scale_for(abs(lo), abs(hi), margin)  # both bound max|v|
     if scale != 1.0:
         v, margin = scale * v, scale * margin

@@ -6,6 +6,15 @@ when ``f(x+y) <= f(x) + r(x, y, n) * f(y)`` for every on-grid pair with
 subadditivity.  The minimal passing order is found in one pass over the pairs
 that raises a candidate order while a pair fails it, then confirmed by one scan.
 
+Every pair check walks the triangle of pairs along anti-diagonals ``k = i + j``:
+the pairs of one diagonal share the left side ``v[k]`` and read contiguous
+runs of ``v`` and ``x``, so a band of consecutive diagonals is one strided view,
+with no index arrays.  Bands hold at most ``PAIR_BLOCK`` pairs, so the scans
+take O(N^2) time in memory independent of N, besides the witnesses.  A band
+passes iff each diagonal's smallest bound passes, since ``Tolerance``
+acceptance is monotone in the bound; only a failing band is compared pair by
+pair, and its witnesses are sorted back into ``(i, j)`` order.
+
 The largest subadditive minorant ``sigma`` of ``f`` is the infimum of
 ``f(u_1) + ... + f(u_m)`` over grid partitions ``u_1 + ... + u_m = x``.  It is
 computed here by the min-plus recurrence
@@ -46,8 +55,9 @@ __all__ = [
 ]
 
 MAX_ORDER = 60  # binomial coefficients stay within double-precision range
-PAIR_BLOCK = 1 << 13  # pairs per scan block; bounds every pair-scan temporary independently of N
-PairBound = Callable[[np.ndarray, np.ndarray], np.ndarray]  # rhs(rows, cols) over one pair block
+PAIR_BLOCK = 1 << 15  # pairs per tile; bounds every pair-scan temporary independently of N
+# rhs(va, xa, vb, xb) over one tile: the x-operand row (v[i], x[i]) and the y-operands (v[j], x[j])
+PairBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -113,14 +123,6 @@ def ratio_coefficient(x: float, y: float, n: int) -> float:
     return acc
 
 
-def _coefficient_poly(u: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized Horner evaluation of ``(u+1)^n - u^n``; matches the scalar op."""
-    acc = np.full_like(u, float(math.comb(n, n - 1)))
-    for i in range(n - 2, -1, -1):
-        acc = acc * u + float(math.comb(n, i))
-    return acc
-
-
 def _offset_multiple(f: GridFunction) -> int:
     ratio = f.origin / f.step
     m = round(ratio)
@@ -146,35 +148,88 @@ def _require_non_negative(f: GridFunction) -> None:
         raise GridError(f"values must be non-negative, got {float(f.values[i])!r} at index {i}")
 
 
-def _pair_blocks(
-    size: int, m: int, first: int, second: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield array positions ``(rows, cols)`` of the pair triangle in ``(i, j)`` order.
+class _Tile(NamedTuple):
+    """A band of anti-diagonals of the pair triangle, as operand views.
+
+    Entry ``[r, c]`` is the pair of array positions ``(i + c, k + r - i - c)``:
+    row ``r`` is the diagonal ``k + r``, whose pairs share the left side
+    ``lhs[r]``.  ``va``/``xa`` hold the x-operands ``v[i + c]``/``x[i + c]``,
+    one row broadcast over the band, and ``vb``/``xb`` the y-operands.  A
+    y-position outside the triangle is a pad reading ``(x, v) = (1, +inf)``,
+    so an order or weak bound there is ``+inf``.
+    """
+
+    k: int
+    i: int
+    lhs: np.ndarray
+    va: np.ndarray
+    xa: np.ndarray
+    vb: np.ndarray
+    xb: np.ndarray
+
+
+def _tiles(v: np.ndarray, x: np.ndarray, m: int, first: int, second: int) -> Iterator[_Tile]:
+    """Cover the pair triangle once, in tiles of at most ``PAIR_BLOCK`` entries, pads included.
 
     The triangle holds every pair of step multiples ``a = i + m >= first`` and
-    ``b = j + m >= second`` with ``a + b <= m + N`` on a grid of ``size = N + 1``
-    samples that starts ``m`` steps from 0.  Blocks hold at most ``PAIR_BLOCK``
-    pairs and continue the row-major order, splitting rows where they must.
+    ``b = j + m >= second`` with ``a + b <= m + N`` on a grid of ``N + 1``
+    samples that starts ``m`` steps from 0.  Diagonal ``k = i + j`` holds the
+    pairs ``(i, k - i)`` with ``i0 <= i <= k - j0``, one more than the diagonal
+    before.  A band of consecutive diagonals is one strided view of a reversed
+    copy of ``v`` (and of ``x``), so that each row runs forward in memory, with
+    the pads of its shorter rows past the copy's end.  A diagonal longer than
+    ``PAIR_BLOCK`` is cut into column chunks.
     """
+    top = v.size - 1 - m  # last diagonal: its left side is the last sample
     i0, j0 = max(first - m, 0), max(second - m, 0)
-    counts = np.maximum(size - m - j0 - np.arange(i0, size), 0)  # row i: j0 <= j <= N - m - i
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    for start in range(0, total, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, total)
-        first_row, last_row = np.searchsorted(ends, [start, stop - 1], side="right")
-        k = np.arange(first_row, last_row + 1)
-        row_start = ends[k] - counts[k]
-        lengths = np.minimum(ends[k], stop) - np.maximum(row_start, start)
-        cols = np.arange(start, stop) - np.repeat(row_start - j0, lengths)
-        yield np.repeat(i0 + k, lengths), cols
+    pad = math.isqrt(PAIR_BLOCK)  # a band has at most this many rows
+    # the y-operand of pair (i, k - i) sits at position top + m - k + i
+    vr = np.concatenate((v[j0:][::-1], np.full(j0 + pad, np.inf)))
+    xr = np.concatenate((x[j0:][::-1], np.ones(j0 + pad)))
+    size = vr.itemsize
+    k = i0 + j0
+    while k <= top:
+        # diagonal k holds w + 1 pairs; take the most rows with rows * (w + rows) <= PAIR_BLOCK
+        w = k - i0 - j0
+        rows = min(max((math.isqrt(w * w + 4 * PAIR_BLOCK) - w) // 2, 1), top - k + 1)
+        width = w + rows  # pairs on the band's last diagonal
+        span = PAIR_BLOCK // rows
+        for i in range(i0, i0 + width, span):
+            # row r starts at top + m - k - r + i; numpy checks the view lies within the copy
+            shape = (rows, min(span, i0 + width - i))
+            offset, strides = (top + m - k + i) * size, (-size, size)
+            yield _Tile(
+                k, i, v[k + m:k + m + rows], v[i:i + shape[1]], x[i:i + shape[1]],
+                np.ndarray(shape, vr.dtype, vr, offset, strides),
+                np.ndarray(shape, xr.dtype, xr, offset, strides),
+            )
+        k += rows
 
 
-def _order_bound(v: np.ndarray, x: np.ndarray, n: int) -> PairBound:
-    """The order-``n`` right-hand side ``v[i] + r(x_i, x_j, n) * v[j]`` over one pair block."""
+def _order_bound(n: int) -> PairBound:
+    """The order-``n`` right-hand side ``va + r(xa, xb, n) * vb`` over one tile.
 
-    def rhs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return v[rows] + _coefficient_poly(x[rows] / x[cols], n) * v[cols]
+    Horner's rule runs in place, in ``ratio_coefficient``'s operation order,
+    so every entry has the scalar bits.  An abscissa past the float range
+    makes the coefficient +inf or NaN, and +inf times a zero value is NaN, as
+    in the scalar arithmetic: NaN fails every acceptance test, so such a pair
+    is reported, not passed.
+    """
+    coefficients = [float(math.comb(n, i)) for i in range(n - 1, -1, -1)]
+
+    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        if n == 1:  # the coefficient is exactly 1, and 1.0 * vb == vb
+            return va + vb
+        with np.errstate(invalid="ignore"):
+            u = np.divide(xa, xb)
+            acc = np.multiply(u, coefficients[0])
+            acc += coefficients[1]
+            for c in coefficients[2:]:
+                acc *= u
+                acc += c
+            acc *= vb
+        acc += va
+        return acc
 
     return rhs
 
@@ -184,20 +239,38 @@ def _scan(
 ) -> SubadditivityReport:
     """Report the pairs ``a >= first``, ``b >= max(first, 1)`` failing ``v[a + b] <= rhs``.
 
+    Each band of anti-diagonals is decided by its smallest bound per diagonal:
+    ``Tolerance`` acceptance is monotone in the bound, and a NaN bound makes
+    the minimum NaN and fails.  Only a failing band compares entry by entry.
     Values are non-negative, so a bound, or its threshold ``bound + margin``,
     that overflows is +inf: still an upper bound, so that overflow is ignored.
+    So is an abscissa past the float range: it is +inf, as the scalar ``x(i)``
+    is, and the order bound meets it as ``ratio_coefficient`` does.
     """
     _require_non_negative(f)
     v = f.values
-    found: list[Witness] = []
+    failing: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     with np.errstate(over="ignore"):
-        for rows, cols in _pair_blocks(v.size, m, first, max(first, 1)):
-            lhs = v[rows + cols + m]
-            bound = rhs(rows, cols)
-            bad = ~tol.leq_array(lhs, bound)
-            pairs = zip((rows[bad] + m).tolist(), (cols[bad] + m).tolist())
-            found += map(Witness, pairs, lhs[bad].tolist(), bound[bad].tolist())
-    return SubadditivityReport(order_tested=n, holds=not found, violations=tuple(found))
+        for t in _tiles(v, f.xs(), m, first, max(first, 1)):
+            bound = rhs(t.va, t.xa, t.vb, t.xb)
+            rows = np.flatnonzero(~tol.leq_array(t.lhs, bound.min(axis=1)))
+            if rows.size:
+                r, c = np.nonzero(~tol.leq_array(t.lhs[rows, None], bound[rows]))
+                failing.append((t.k + rows[r], t.i + c, bound[rows[r], c]))
+    if not failing:
+        return SubadditivityReport(order_tested=n, holds=True, violations=())
+    k, i, rhs_bits = (np.concatenate(parts) for parts in zip(*failing))
+    del failing  # copied: free it before the witnesses are built
+    order = np.lexsort((k, i))  # by i, then by j = k - i
+    k, i, rhs_bits = k[order], i[order], rhs_bits[order]
+    lhs = v.tolist()  # one float per sample, shared by the witnesses of its diagonal
+    found: list[Witness] = []
+    for s in range(0, k.size, PAIR_BLOCK):  # in slices: each slice's Python floats are short-lived
+        ks, is_ = k[s:s + PAIR_BLOCK] + m, i[s:s + PAIR_BLOCK] + m
+        pairs = zip(is_.tolist(), (ks - is_ + m).tolist())
+        lefts = map(lhs.__getitem__, ks.tolist())
+        found += map(Witness, pairs, lefts, rhs_bits[s:s + PAIR_BLOCK].tolist())
+    return SubadditivityReport(order_tested=n, holds=False, violations=tuple(found))
 
 
 def check_order(f: GridFunction, n: int, tol: Tolerance = Tolerance()) -> SubadditivityReport:
@@ -208,7 +281,7 @@ def check_order(f: GridFunction, n: int, tol: Tolerance = Tolerance()) -> Subadd
     """
     _validate_order(n)
     _require_zero_origin(f)
-    return _scan(f, n, tol, 0, 0, _order_bound(f.values, f.xs(), n))
+    return _scan(f, n, tol, 0, 0, _order_bound(n))
 
 
 def check_order_offset(
@@ -221,7 +294,7 @@ def check_order_offset(
     """
     _validate_order(n)
     m = _offset_multiple(f)
-    return _scan(f, n, tol, m, m, _order_bound(f.values, f.xs(), n))
+    return _scan(f, n, tol, m, m, _order_bound(n))
 
 
 def minimal_order(
@@ -229,9 +302,11 @@ def minimal_order(
 ) -> SubadditivityReport:
     """The smallest ``k`` in ``[1, n_max]`` with ``check_order(f, k, tol).holds``, if any.
 
-    One pass over the pair blocks starts at order 1 and, while some pair of a
-    block fails the current order, moves one order up (to at most ``n_max``).
-    Each order passed over has a failing pair, so none below the candidate holds.
+    One pass over the bands of anti-diagonals starts at order 1 and, while some
+    pair of a band fails the current order, moves one order up (to at most
+    ``n_max``); a band fails iff one of its diagonals' smallest bounds does, as
+    in ``_scan``.  Each order passed over has a failing pair, so none below the
+    candidate holds.
     The candidate is then confirmed by a full scan, moving one order up wherever
     rounding breaks the nesting, so the result assumes no monotonicity in ``n``.
     When no order holds, the failing order-``n_max`` report is returned.
@@ -239,12 +314,12 @@ def minimal_order(
     _validate_order(n_max)
     _require_zero_origin(f)
     _require_non_negative(f)
-    v, x = f.values, f.xs()
     n = 1
     with np.errstate(over="ignore"):  # an overflowing bound is +inf, as in _scan
-        for rows, cols in _pair_blocks(v.size, 0, 0, 1):
-            lhs = v[rows + cols]
-            while n < n_max and not np.all(tol.leq_array(lhs, _order_bound(v, x, n)(rows, cols))):
+        for t in _tiles(f.values, f.xs(), 0, 0, 1):
+            while n < n_max and not np.all(
+                tol.leq_array(t.lhs, _order_bound(n)(t.va, t.xa, t.vb, t.xb).min(axis=1))
+            ):
                 n += 1
     while True:
         report = check_order(f, n, tol)
@@ -302,12 +377,12 @@ def check_weak_bound(
     """
     _validate_order(n)
     _require_zero_origin(f)
-    v = f.values
     q = float(2**n - 1)
 
-    def rhs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        va, vb = v[rows], v[cols]
-        return np.maximum(va + q * vb, q * va + vb)
+    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        ahead = np.multiply(vb, q)
+        ahead += va
+        return np.maximum(ahead, q * va + vb, out=ahead)
 
     return _scan(f, n, tol, 0, 1, rhs)
 
@@ -351,12 +426,19 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
     xs = np.ldexp(xn, -e)
     c = float(np.ldexp(np.dot(v[1:], xs) / np.dot(xs, xs), -e))
 
-    bound = _order_bound(v, f.xs(), n)
-
-    def gap(rows: np.ndarray, cols: np.ndarray) -> float:
-        return np.max(np.abs(bound(rows, cols) - bound(cols, rows)))
-
-    return PowerFit(c, float(np.max([gap(*block) for block in _pair_blocks(v.size, 0, 1, 1)])))
+    bound = _order_bound(n)
+    worst = 0.0
+    with np.errstate(over="ignore"):  # an overflowing side is rejected below
+        for t in _tiles(v, f.xs(), 0, 1, 1):
+            ahead, behind = bound(t.va, t.xa, t.vb, t.xb), bound(t.vb, t.xb, t.va, t.xa)
+            pads = np.isinf(t.vb)  # outside the triangle, where both sides are +inf
+            ahead[pads] = behind[pads] = 0.0
+            if not (np.all(np.isfinite(ahead)) and np.all(np.isfinite(behind))):
+                raise GridError("symmetry residual overflows on this grid")
+            worst = max(worst, float(np.max(np.abs(ahead - behind))))
+    if not math.isfinite(worst):
+        raise GridError("symmetry residual overflows on this grid")
+    return PowerFit(c, worst)
 
 
 def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> MinorantResult:

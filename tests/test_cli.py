@@ -126,6 +126,13 @@ class TestSources:
         assert (code, out) == (2, "")
         assert err == "funclass: error: --samples must be at least 2, got 1\n"
 
+    def test_infinite_vertical_extent_exits_2(self, capsys):
+        argv = ["star-region", "--expr", "x", "--to", "1", "--samples", "5", "--kind", "epi",
+                "--p", "1", "--vertical-extent", "1e309"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "funclass: error: vertical_extent must be finite, got inf\n"
+
 
 class TestToleranceConfig:
     def test_env_override(self, capsys, monkeypatch):
@@ -402,11 +409,13 @@ class TestConsoleScript:
 
     # A subprocess, because in-process the overflow warnings numpy gives on the way are
     # errors under the test suite's warning filter.
-    @pytest.mark.parametrize("command, rows", [
-        (["heights", "--d", "1"], "0,-1e308\n1,1e308\n2,1e308\n3,1.5e308\n"),
-        (["power-fit", "--n", "2"], "0,0\n1,1.7e308\n2,0\n3,1e308\n"),
+    @pytest.mark.parametrize("command, rows, message", [
+        (["heights", "--d", "1"], "0,-1e308\n1,1e308\n2,1e308\n3,1.5e308\n",
+         "a result overflowed to inf or NaN"),
+        (["power-fit", "--n", "2"], "0,0\n1,1.7e308\n2,0\n3,1e308\n",
+         "symmetry residual overflows on this grid"),
     ], ids=["heights", "power-fit"])
-    def test_overflowing_report_exits_2_before_any_output(self, tmp_path, command, rows):
+    def test_overflowing_report_exits_2_before_any_output(self, tmp_path, command, rows, message):
         data, plot = tmp_path / "f.csv", tmp_path / "plot.csv"
         data.write_text(rows)
         proc = subprocess.run(
@@ -417,5 +426,5 @@ class TestConsoleScript:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "funclass: error: a result overflowed to inf or NaN" in proc.stderr
+        assert f"funclass: error: {message}" in proc.stderr
         assert not plot.exists()

@@ -235,11 +235,19 @@ class TestRegionStarCheck:
 
     @pytest.mark.parametrize("options, message", [
         ({"vertical_extent": 0.0}, r"^vertical_extent must be > 0, got 0\.0$"),
+        ({"vertical_extent": math.inf}, r"^vertical_extent must be finite, got inf$"),
         ({"vertical_samples": 1}, r"^vertical_samples must be >= 2, got 1$"),
     ])
     def test_degenerate_vertical_sampling_rejected(self, options, message):
         with pytest.raises(fc.GridError, match=message):
             RegionSpec(RegionKind.EPI, **options)
+
+    @pytest.mark.parametrize("values", [[0.0, 1e308, 1.5e308], [-1.5e308, 0.0, 0.0]], ids=str)
+    def test_levels_past_the_float_range_rejected(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        message = r"^vertical_extent 1e\+308 takes the sampled levels past the float range"
+        with pytest.raises(fc.GridError, match=message):
+            fc.region_star_check(f, RegionSpec(RegionKind.EPI, vertical_extent=1e308), 1)
 
     def test_out_of_range_center(self, square):
         with pytest.raises(fc.GridError, match=r"^center index 9 out of range \[0, 8\]$"):

@@ -357,6 +357,15 @@ class TestFitPower:
         with pytest.raises(fc.GridError, match=r"^abscissa power x\^60 overflows on this grid$"):
             fc.fit_power(f, 60)
 
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.7e308, 0.0, 1e308],  # a side of the equation overflows
+        [0.0, -4e307, 7e307, 0.0],  # both sides are finite, their difference is not
+    ], ids=str)
+    def test_overflowing_symmetry_residual_is_rejected_without_a_warning(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        with pytest.raises(fc.GridError, match=r"^symmetry residual overflows on this grid$"):
+            fc.fit_power(f, 2)
+
     def test_overflowing_squares_of_the_abscissa_power(self):
         # 1e4^40 is finite but its square is not; c is sum x^41 / sum x^80
         c = fc.fit_power(fc.sample("x", 0, 2500, 5), 40).c
@@ -376,12 +385,30 @@ def witness_bits(witnesses):
     return [(w.indices, w.lhs.hex(), w.rhs.hex()) for w in witnesses]
 
 
+NON_FINITE_BOUNDS = [
+    # x_2 = 2e308 overflows: pair (2, 1) has an infinite coefficient from n = 2 on,
+    # and it meets v[1] = 0, so its bound is NaN
+    fc.GridFunction(0.0, 1e308, [0.0, 0.0, 1.0, 1.0]),
+    # bounds with v[1] overflow to +inf, while pair (2, 2) fails
+    fc.GridFunction(0.0, 1.0, [0.0, 1.7e308, 0.0, 1e308, 1.7e308]),
+]
+
+
 class TestPairScanAgainstOracle:
-    """The blocked pair scan against the scalar double loop, bit for bit."""
+    """The tiled pair scan against the scalar double loop, bit for bit."""
+
+    @staticmethod
+    def scans(f, n, tol):
+        """Each pair scan of ``f`` beside the scalar loop's witnesses."""
+        yield fc.check_order(f, n, tol), pair_scan_bruteforce(f, n, tol)
+        yield fc.check_weak_bound(f, n, tol), pair_scan_bruteforce(f, n, tol, weak=True)
+        if math.isfinite(3 * f.step):
+            shifted = fc.GridFunction(3 * f.step, f.step, f.values)
+            yield fc.check_order_offset(shifted, n, tol), pair_scan_bruteforce(shifted, n, tol)
 
     @pytest.mark.parametrize("block", [None, 1, 7])
     def test_witnesses_match_scalar_loop(self, block, monkeypatch):
-        if block is not None:  # blocks then split rows mid-triangle
+        if block is not None:  # tiles then split diagonals mid-band
             monkeypatch.setattr(subadd, "PAIR_BLOCK", block)
         rng = np.random.default_rng(2308)
         found = 0
@@ -389,12 +416,7 @@ class TestPairScanAgainstOracle:
             f = random_nonneg_grid(rng, 24) if trial % 2 else random_order_subadditive(rng)
             n = int(rng.integers(1, 5))
             tol = fc.Tolerance() if trial % 3 else fc.Tolerance(abs=0.0, rel=0.0)
-            shifted = fc.GridFunction(3 * f.step, f.step, f.values)
-            cases = [
-                (fc.check_order(f, n, tol), pair_scan_bruteforce(f, n, tol)),
-                (fc.check_weak_bound(f, n, tol), pair_scan_bruteforce(f, n, tol, weak=True)),
-                (fc.check_order_offset(shifted, n, tol), pair_scan_bruteforce(shifted, n, tol)),
-            ]
+            cases = list(self.scans(f, n, tol))
             if f.values.size >= 3:
                 g = fc.ratio_transform(f, n)
                 cases.append((fc.check_order_offset(g, 1, tol), pair_scan_bruteforce(g, 1, tol)))
@@ -403,16 +425,38 @@ class TestPairScanAgainstOracle:
                 assert rep.holds == (not expected)
                 found += len(expected)
         assert found > 100  # the comparison saw failing pairs, not only passes
+        nan_bounds = 0
+        for f in NON_FINITE_BOUNDS:
+            for n in (1, 2, 60):
+                for rep, expected in self.scans(f, n, fc.Tolerance()):
+                    assert witness_bits(rep.violations) == witness_bits(expected)
+                    assert rep.holds == (not expected)
+                    nan_bounds += sum(math.isnan(w.rhs) for w in expected)
+        assert nan_bounds > 0
 
+    @pytest.mark.parametrize("block", [1, 5, 64])
     @pytest.mark.parametrize(
         "size, m, first, second", [(9, 0, 0, 1), (9, 0, 1, 1), (7, 2, 2, 2), (2, 0, 1, 1)]
     )
-    def test_blocks_cover_the_triangle_in_order(self, size, m, first, second, monkeypatch):
-        monkeypatch.setattr(subadd, "PAIR_BLOCK", 5)
-        blocks = list(subadd._pair_blocks(size, m, first, second))
-        assert all(rows.size <= 5 for rows, _ in blocks)
-        pairs = [(i, j) for rows, cols in blocks for i, j in zip(rows.tolist(), cols.tolist())]
-        assert pairs == [
+    def test_tiles_cover_the_triangle_once(self, size, m, first, second, block, monkeypatch):
+        monkeypatch.setattr(subadd, "PAIR_BLOCK", block)
+        v, x = np.arange(size) + 0.5, np.arange(size) + 100.0  # values name their position
+        covered = []
+        for t in subadd._tiles(v, x, m, first, second):
+            rows, cols = t.vb.shape
+            assert rows * cols <= block
+            assert t.lhs.shape == (rows,) and t.va.shape == t.xa.shape == (cols,)
+            for r in range(rows):
+                assert t.lhs[r] == v[t.k + r + m]
+                for c in range(cols):
+                    i, j = t.i + c, t.k + r - t.i - c
+                    assert (t.va[c], t.xa[c]) == (v[i], x[i])
+                    if j < 0 or j + m < second:  # a pad
+                        assert (t.vb[r, c], t.xb[r, c]) == (np.inf, 1.0)
+                    else:
+                        assert (t.vb[r, c], t.xb[r, c]) == (v[j], x[j])
+                        covered.append((i, j))
+        assert sorted(covered) == [
             (i, j)
             for i in range(size)
             for j in range(size)
