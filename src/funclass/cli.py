@@ -1,6 +1,12 @@
 """Command-line front end: build a grid from an expression or CSV, run one
 analysis, print a JSON report on stdout.
 
+Reports are byte-identical to ``json.dumps(report, indent=2, allow_nan=False)``
+but come from one writer here, ``_to_json``: with ``indent``, ``json`` runs a
+pure-Python encoder that spends a generator step per value, which made it the
+slowest stage of a large report.  The writer encodes lists of one scalar type
+and lists of flat dicts with the same keys (witness lists) column by column.
+
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
 errors.  Tolerances default from the environment variables FUNCLASS_TOL_ABS
@@ -17,10 +23,12 @@ the ``PeriodSpec`` ``args.period``, and their reports start with ``d`` and ``w``
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -262,9 +270,97 @@ def _write_plot_csv(path: str, columns: Columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_SCALARS = (float, int, str, bool, type(None))
+
+
+def _require_finite(values: Iterable[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("JSON has no inf or NaN")
+
+
+def _kind(values: Sequence) -> type | None:
+    """The one type of every item of ``values``, else None."""
+    kinds = set(map(type, values))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _column(kind: type, values: Sequence) -> Iterable[str]:
+    """Each of ``values``, all of the scalar type ``kind``, as JSON."""
+    if kind is float:
+        _require_finite(values)
+        return map(float.__repr__, values)
+    if kind is int:
+        return map(int.__repr__, values)
+    if kind is str:
+        return map(encode_basestring_ascii, values)
+    return map(_CONSTANTS.__getitem__, values)
+
+
+def _rows(dicts: Sequence[dict], indent: str) -> Iterable[str] | None:
+    """Flat dicts with the same str keys, one scalar type per key: one template per row."""
+    keys = tuple(dicts[0])
+    if set(map(tuple, dicts)) != {keys} or _kind(keys) is not str:
+        return None
+    columns = [list(map(itemgetter(key), dicts)) for key in keys]
+    kinds = list(map(_kind, columns))
+    if not all(kind in _SCALARS for kind in kinds):
+        return None
+    inner = indent + "  "
+    fields = (inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return map(("{" + ",".join(fields) + indent + "}").__mod__, zip(*map(_column, kinds, columns)))
+
+
+def _items(items: list | tuple, indent: str) -> Iterable[str]:
+    kind = _kind(items)
+    if kind in _SCALARS:
+        return _column(kind, items)
+    if kind is dict and (rows := _rows(items, indent)) is not None:
+        return rows
+    return (_encode(item, indent) for item in items)
+
+
+def _key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + _encode(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(o: object, indent: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at ``indent``."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        _require_finite((o,))
+        return float.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_items(o, inner)) + indent + "]" if o else "[]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        pairs = (_key(k) + ": " + _encode(v, inner) for k, v in o.items())
+        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _to_json(report: dict) -> str:
+    """``report`` as ``json.dumps(report, indent=2, allow_nan=False)`` writes it, byte for byte.
+
+    ``_items`` encodes a list of one scalar type (value arrays) and a list of
+    flat dicts with the same str keys and one scalar type per key (witness
+    lists) column by column with ``map``; anything else goes through
+    ``_encode`` value by value.  A non-finite float is a ``GridError``, and an
+    unsupported type raises ``TypeError`` as in ``json``.
+    """
     try:
-        return json.dumps(report, indent=2, allow_nan=False)
+        return _encode(report, "\n")
     except ValueError:  # JSON has no inf or NaN
         raise GridError("a result overflowed to inf or NaN, which JSON cannot hold") from None
 

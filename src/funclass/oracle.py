@@ -16,11 +16,15 @@ vectorised periodic witnesses.
 ``is_center_bruteforce`` and ``region_star_check_bruteforce`` evaluate every
 chord (and every sampled segment) at every grid point it crosses: the cubic
 transcription of the definitions that the slope-visibility test in
-``starconvex`` must match verdict for verdict and witness for witness.
+``starconvex`` must match verdict for verdict and witness for witness.  Where
+four times the largest magnitude overflows, they evaluate chords and the
+margin at quarter scale, an exact power of two, so a chord from ``-1e308`` to
+``1e308`` is not an infinite ordinate that passes every test.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
@@ -138,12 +142,19 @@ def periodic_witnesses_bruteforce(
     return tuple(witnesses)
 
 
+def _scale(*magnitudes: float) -> float:
+    """1, or 1/4 where a difference of two of ``magnitudes`` could overflow."""
+    return 1.0 if math.isfinite(4.0 * max(magnitudes)) else 0.25
+
+
 def is_center_bruteforce(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
     """Every chord from ``p``, evaluated at every grid point between, is one-sided."""
     v = f.values
     if not 0 <= p < v.size:
         raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
     margin = tol.grid_slack(f.values)
+    scale = _scale(float(np.max(np.abs(v))), margin)
+    v, margin = scale * v, scale * margin
     for q in range(v.size):
         lo, hi = (p, q) if p < q else (q, p)
         if hi - lo < 2:
@@ -179,6 +190,10 @@ def region_star_check_bruteforce(
         raise GridError(f"split index {region.split_index} out of range")
 
     margin = tol.grid_slack(f.values)
+    lo = float(np.min(v)) - region.vertical_extent
+    hi = float(np.max(v)) + region.vertical_extent
+    scale = _scale(abs(lo), abs(hi), margin)
+    v, margin = scale * v, scale * margin
     kinds = np.empty(size, dtype=np.int8)  # +1 epigraph, -1 hypograph, 0 unconstrained
     if region.kind is RegionKind.EPI:
         kinds[:] = 1
@@ -190,11 +205,7 @@ def region_star_check_bruteforce(
         kinds[:s] = left
         kinds[s + 1:] = right
         kinds[s] = 0
-    levels = np.linspace(
-        float(np.min(v)) - region.vertical_extent,
-        float(np.max(v)) + region.vertical_extent,
-        region.vertical_samples,
-    )
+    levels = np.linspace(scale * lo, scale * hi, region.vertical_samples)
     cp = float(v[center_p])
 
     for q in range(size):
@@ -224,10 +235,10 @@ def region_star_check_bruteforce(
                 ok=False,
                 witness=StarWitness(
                     column=q,
-                    level=float(selected[li]),
+                    level=float(selected[li]) / scale,
                     crossing=m_idx,
-                    segment_value=float(seg[li, mi]),
-                    graph_value=float(v[m_idx]),
+                    segment_value=float(seg[li, mi]) / scale,
+                    graph_value=float(v[m_idx]) / scale,
                 ),
             )
     return RegionCheckReport(ok=True, witness=None)

@@ -202,17 +202,29 @@ def _window_extremum(v: np.ndarray, w: int, ufunc: np.ufunc, pad: float) -> np.n
     return ufunc(suffix.reshape(-1)[: v.size], prefix.reshape(-1)[w : w + v.size])
 
 
+def _window_heights(v: np.ndarray, w: int) -> np.ndarray:
+    """``max - min`` over every window ``[i, i+w]``, +inf where it passes the float range."""
+    out = _window_extremum(v, w, np.maximum, -np.inf)
+    with np.errstate(over="ignore"):
+        out -= _window_extremum(v, w, np.minimum, np.inf)
+    return out
+
+
 def heights(f: GridFunction, p: PeriodSpec) -> HeightProfile:
-    """Sliding-window oscillation from block prefix and suffix extrema, O(N) overall."""
+    """Sliding-window oscillation from block prefix and suffix extrema, O(N) overall.
+
+    A height past the float range is a ``GridError``.  ``global_d`` is the
+    largest window height, so checking it and ``overall`` covers every height
+    without another pass over the grid.
+    """
     _require_period(f, p)
     v = f.values
-    out = _window_extremum(v, p.w, np.maximum, -np.inf)
-    out -= _window_extremum(v, p.w, np.minimum, np.inf)
-    return HeightProfile(
-        window_heights=out,
-        global_d=float(np.max(out)),
-        overall=float(np.max(v) - np.min(v)),
-    )
+    out = _window_heights(v, p.w)
+    global_d = float(np.max(out))
+    overall = float(np.max(v)) - float(np.min(v))  # Python floats overflow to inf silently
+    if not (math.isfinite(global_d) and math.isfinite(overall)):
+        raise GridError("window heights overflow on this grid")
+    return HeightProfile(window_heights=out, global_d=global_d, overall=overall)
 
 
 def greatest_periodic_minorant(f: GridFunction, p: PeriodSpec) -> GridFunction:
@@ -271,7 +283,7 @@ def perturbation_check(
         i = int(np.flatnonzero(~rising)[0])
         raise GridError(f"g must be non-decreasing, but g[{i}] > g[{i + 1}]")
 
-    full = heights(g, p).window_heights[: v.size - p.w]
+    full = _window_heights(v, p.w)[: v.size - p.w]  # +inf past the float range, still a bound
     min_window = float(np.min(full))
     k_height = float(np.max(k.values) - np.min(k.values))
     hypothesis = tol.geq(min_window, k_height)

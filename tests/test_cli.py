@@ -6,9 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from funclass import cli, subadd
 from funclass.cli import COMMANDS, run
+from funclass.grid import GridError, sample
 
 SIN_TO = repr(2 * math.pi)
 
@@ -407,11 +412,11 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["minimal_order"] == 3
 
-    # A subprocess, because in-process the overflow warnings numpy gives on the way are
-    # errors under the test suite's warning filter.
+    # A subprocess, so that -W error::RuntimeWarning shows that no overflow warning
+    # comes on the way to the error.
     @pytest.mark.parametrize("command, rows, message", [
         (["heights", "--d", "1"], "0,-1e308\n1,1e308\n2,1e308\n3,1.5e308\n",
-         "a result overflowed to inf or NaN"),
+         "window heights overflow on this grid"),
         (["power-fit", "--n", "2"], "0,0\n1,1.7e308\n2,0\n3,1e308\n",
          "symmetry residual overflows on this grid"),
     ], ids=["heights", "power-fit"])
@@ -419,12 +424,121 @@ class TestConsoleScript:
         data, plot = tmp_path / "f.csv", tmp_path / "plot.csv"
         data.write_text(rows)
         proc = subprocess.run(
-            [sys.executable, "-m", "funclass", *command, "--csv", str(data),
-             "--plot-csv", str(plot)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "funclass", *command,
+             "--csv", str(data), "--plot-csv", str(plot)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert f"funclass: error: {message}" in proc.stderr
+        assert proc.stderr == f"funclass: error: {message}\n"
         assert not plot.exists()
+
+
+# Report-shaped objects for the JSON writer: keys with non-ASCII, quote and "%"
+# characters (and the int, float, bool and None keys json converts), float lists
+# with signed zeros, subnormals and values near the float range, and lists of
+# flat dicts whose columns hold one type or mixed types.
+TEXT = st.text(alphabet='ab%s"\\\n\u00e9\u2028\U0001f600 ', max_size=4)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+)
+INTS = st.integers(-(2**100), 2**100)
+KEYS = st.one_of(TEXT, TEXT, st.integers(-3, 3), FLOATS, st.booleans(), st.none())
+SCALARS = st.one_of(FLOATS, INTS, st.booleans(), st.none(), TEXT, FLOATS.map(np.float64))
+HOSTILE = st.sampled_from([math.inf, -math.inf, math.nan, np.int64(3), np.float64(math.nan)])
+COLUMNS = [FLOATS, INTS, st.booleans(), st.none(), TEXT, st.one_of(INTS, st.none()),
+           st.one_of(FLOATS, st.booleans()), SCALARS]
+
+
+@st.composite
+def flat_dicts(draw, keys, scalars):
+    keys = draw(st.lists(keys, max_size=5, unique=True))
+    columns = {key: draw(st.sampled_from(COLUMNS + [scalars])) for key in keys}
+    rows = [{key: draw(columns[key]) for key in keys} for _ in range(draw(st.integers(0, 6)))]
+    if len(rows) > 1 and draw(st.booleans()):  # one row with its keys in another order
+        rows[-1] = dict(reversed(rows[-1].items()))
+    return rows
+
+
+def reports(scalars):
+    leaves = st.one_of(scalars, st.lists(FLOATS, max_size=6), st.lists(scalars, max_size=6),
+                       flat_dicts(TEXT, scalars), flat_dicts(KEYS, scalars))
+    return st.dictionaries(KEYS, st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ), max_leaves=12), max_size=5)
+
+
+def _encoded(encode, obj):
+    """The text, or the class of error ``cli._to_json`` gives for what ``encode`` raised."""
+    try:
+        return encode(obj)
+    except (ValueError, GridError):
+        return GridError
+    except TypeError:
+        return TypeError
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+class TestJsonWriter:
+    """``cli._to_json`` writes what ``json.dumps(indent=2, allow_nan=False)`` writes."""
+
+    @given(reports(SCALARS))
+    @example({"w": [{"i": 1, "a%s": 0.5}, {"i": 2, "a%s": -0.0}]})
+    @example({"w": [{"i": 1, "j": 2}, {"j": 2, "i": 1}]})
+    @example({"w": [{1: 0.5, None: "a"}, {1: 1.5, None: "b"}]})
+    @example({"w": [{"i": 1, "j": None}, {"i": 2, "j": 3}]})
+    @example({"w": [{"x": 1.0, "b": True}, {"x": 2.0, "b": 1.5}], "e": [{}, {}]})
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_as_json_dumps(self, report):
+        assert cli._to_json(report) == _dumps(report)
+
+    @given(reports(st.one_of(SCALARS, HOSTILE)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_or_same_error(self, report):
+        assert _encoded(cli._to_json, report) == _encoded(_dumps, report)
+
+    @pytest.mark.parametrize("obj", [
+        {"n": np.int64(3)},
+        {"values": [np.int64(1), np.int64(2)]},
+        {"violations": [{"i": np.int64(1), "lhs": 0.5}, {"i": np.int64(2), "lhs": 0.25}]},
+        {"k": {(1, 2): 0.5}},
+    ], ids=["scalar", "list", "column", "key"])
+    def test_unsupported_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError) as want:
+            _dumps(obj)
+        with pytest.raises(TypeError) as got:
+            cli._to_json(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_large_witness_report(self):
+        # the 513-sample x^2.5 order-2 report of the cli-reports benchmark workload
+        f = sample("1.3*x^2.5", 0.0, 8.0 / 512, 513)
+        report = subadd.check_order(f, 2).to_dict()
+        assert len(report["violations"]) == 130_816
+        assert cli._to_json(report) == _dumps(report)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("place", [
+        lambda x: {"value": x},
+        lambda x: {"values": [0.0, 1.5, x, 2.0]},
+        lambda x: {"violations": [{"i": 1, "j": 2, "lhs": 1.0, "rhs": x}] * 3},
+        lambda x: {"nested": {"deeper": [{"level": x, "witness": None}]}},
+        lambda x: {"tuple": (1, x)},
+        lambda x: {"key": {x: 1}},
+    ], ids=["scalar", "float-list", "witness-column", "nested", "tuple", "key"])
+    def test_non_finite_values_exit_2_without_output(self, capsys, monkeypatch, bad, place):
+        def handler(f, args, tol):
+            return True, place(bad), {}
+        command = COMMANDS["star-classify"]._replace(handler=handler)
+        monkeypatch.setitem(COMMANDS, "star-classify", command)
+        argv = ["star-classify", "--expr", "x", "--to", "1", "--samples", "5", "--p", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "funclass: error: a result overflowed to inf or NaN, which JSON cannot hold\n"

@@ -152,6 +152,22 @@ class TestHeights:
         assert np.allclose(prof.window_heights, [1.0, 1.0, 1.0, 0.5, 0.0])
         assert prof.overall == 2.0
 
+    @pytest.mark.parametrize("values, w", [
+        ([-1e308, 1e308, 1e308, 1.5e308], 1),  # window and overall heights overflow
+        ([-1e308, 0.0, 1e308], 1),  # only the overall height overflows
+    ], ids=["windows", "overall"])
+    def test_heights_past_the_float_range_raise(self, values, w):
+        f = fc.GridFunction(0.0, 1.0, values)
+        with pytest.raises(fc.GridError, match=r"^window heights overflow on this grid$"):
+            fc.heights(f, fc.PeriodSpec(d=float(w), w=w))
+
+    def test_heights_near_the_float_range(self):
+        values = [-1e307, 1e308, 1.5e308, 1.6e308]
+        prof = fc.heights(fc.GridFunction(0.0, 1.0, values), fc.PeriodSpec(d=1.0, w=1))
+        naive = [max(values[i : i + 2]) - min(values[i : i + 2]) for i in range(len(values))]
+        assert prof.window_heights.tolist() == naive
+        assert (prof.global_d, prof.overall) == (max(naive), 1.6e308 + 1e307)
+
     def test_matches_naive_window_scan(self):
         rng = np.random.default_rng(13)
         cases = []
@@ -301,6 +317,14 @@ class TestPerturbationCheck:
         spec = fc.PeriodSpec(d=1.0, w=2)
         rep = fc.perturbation_check(g, k, spec)
         assert rep.hypothesis_holds
+        assert rep.plus.holds and rep.minus.holds
+
+    def test_windows_near_the_float_range(self):
+        # the first window and the overall height pass the float range; the check
+        # reads only the windows, and an infinite one still bounds k's height
+        g = fc.GridFunction(0.0, 1.0, [-1e308, 0.0, 1e308, 1.5e308])
+        rep = fc.perturbation_check(g, g.with_values(np.zeros(4)), fc.PeriodSpec(2.0, 2))
+        assert rep.hypothesis_holds and rep.min_window_height == 1.5e308
         assert rep.plus.holds and rep.minus.holds
 
     def test_oversized_perturbation_makes_no_claim(self):

@@ -447,6 +447,23 @@ class TestAgainstBruteforce:
                         w.column, 4 * w.level, w.crossing, 4 * w.segment_value, 4 * w.graph_value
                     ), (kind, p)
 
+    def test_full_scale_oracle_with_mixed_signs_near_the_float_range(self):
+        f = fc.GridFunction(0.0, 1.0, [-1e308, 1e308, 0.0, 1e308])
+        want = tuple(p for p in range(f.values.size) if is_center_bruteforce(f, p))
+        assert want == fc.central_set(f).centers == (1, 2)
+
+    @pytest.mark.parametrize("tol", [fc.Tolerance(), fc.Tolerance(0.0, 1e-12)], ids=repr)
+    @pytest.mark.parametrize("values", MIXED_NEAR_RANGE, ids=str)
+    def test_full_scale_oracle_agrees_near_the_float_range(self, values, tol):
+        f = fc.GridFunction(0.0, 1.0, values)
+        want = tuple(p for p in range(f.values.size) if is_center_bruteforce(f, p, tol))
+        assert fc.central_set(f, tol).centers == want
+        for p in range(f.values.size):
+            for kind in RegionKind:
+                spec = RegionSpec(kind, p if kind.is_split else None, 4.0, 16)
+                assert fc.region_star_check(f, spec, p, tol) == \
+                    region_star_check_bruteforce(f, spec, p, tol), (kind, p)
+
     @pytest.mark.parametrize("tol", ORACLE_TOLERANCES, ids=repr)
     def test_centers_match_every_chord_scan(self, tol):
         for f in oracle_grids():
