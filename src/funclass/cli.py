@@ -10,33 +10,36 @@ and lists of flat dicts with the same keys (witness lists) column by column.
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
 errors.  Tolerances default from the environment variables FUNCLASS_TOL_ABS
-and FUNCLASS_TOL_REL; flags override both.
+and FUNCLASS_TOL_REL, read on every call; flags override both.
 
 ``COMMANDS`` is the one table of commands: it drives both the parser and the
 dispatch, so adding a command means adding one entry (name, help, handler,
-flags).  A handler returns whether the property holds, the JSON report and
-any plot columns beyond ``x`` and ``f``; columns that include ``x`` replace
-those two.  Commands that take ``--d`` find it validated against the grid as
-the ``PeriodSpec`` ``args.period``, and their reports start with ``d`` and ``w``.
+flags).  The grammar is static, so ``run`` builds the parser once per process
+and reuses it.  A handler returns whether the property holds, the JSON report
+and any plot columns beyond ``x`` and ``f``; columns that include ``x`` replace
+those two, and ``x`` and ``f`` are added only for ``--plot-csv``, whose file
+comes from the CSV writer behind ``grid.write_csv``.  Commands that take
+``--d`` find it validated against the grid as the ``PeriodSpec``
+``args.period``, and their reports start with ``d`` and ``w``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import periodic, starconvex, subadd
 from .expr import EvalError, ParseError
-from .grid import GridError, GridFunction, Tolerance, read_csv, sample
+from .grid import GridError, GridFunction, Tolerance, _write_columns, read_csv, sample
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -236,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and then reused: the grammar is static."""
+    return build_parser()
+
+
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     """Each field from its flag, else its environment variable, else ``Tolerance()``'s."""
     fields = {}
@@ -260,14 +269,6 @@ def _load_grid(args: argparse.Namespace) -> GridFunction:
         raise GridError(f"--samples must be at least 2, got {args.samples}")
     step = (args.to - args.from_) / (args.samples - 1)
     return sample(args.expr, args.from_, step, args.samples)
-
-
-def _write_plot_csv(path: str, columns: Columns) -> None:
-    names = list(columns)
-    rows = zip(*(columns[name].tolist() for name in names))
-    lines = [",".join(names)]
-    lines.extend(",".join(repr(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -374,21 +375,21 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, dict, Columns]:
     holds, report, columns = command.handler(f, args, tol)
     if period is not None:
         report = {"d": period.d, "w": period.w, **report}
-    plot = columns if "x" in columns else {"x": f.xs(), "f": f.values, **columns}
-    return (0 if holds else 1), report, plot
+    if args.plot_csv and "x" not in columns:
+        columns = {"x": f.xs(), "f": f.values, **columns}
+    return (0 if holds else 1), report, columns
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
         code, report, plot = _dispatch(args)
         text = _to_json(report)
         if args.plot_csv:
-            _write_plot_csv(args.plot_csv, plot)
+            _write_columns(args.plot_csv, list(plot.values()), ",".join(plot))
     except (GridError, ParseError, EvalError) as exc:
         print(f"funclass: error: {exc}", file=sys.stderr)
         return 2

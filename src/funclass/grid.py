@@ -90,8 +90,8 @@ class Tolerance:
 
 _ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
 MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
-# Points per array pass of an expression in sample(), and rows per write in
-# write_csv(): bounds every temporary independently of the grid size, a deep
+# Points per array pass of an expression in sample(), and rows per write of a
+# CSV file: bounds every temporary independently of the grid size, a deep
 # expression's stack of operand arrays included.
 _CHUNK = 1 << 14
 
@@ -156,7 +156,9 @@ class GridFunction:
         return self.origin + i * self.step
 
     def xs(self) -> np.ndarray:
-        return self.origin + np.arange(self.values.size) * self.step
+        """Every abscissa; one past the float range is ``inf``, without a warning."""
+        with np.errstate(over="ignore"):
+            return self.origin + np.arange(self.values.size) * self.step
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.origin, self.step, values)
@@ -299,13 +301,23 @@ def _sample_points(
 
 def write_csv(f: GridFunction, path: str | Path) -> None:
     """Write rows ``x,y`` with shortest round-trip float formatting."""
-    with np.errstate(over="ignore"):  # an abscissa past the float range is written as inf
-        xs = f.xs()
+    _write_columns(path, (f.xs(), f.values))
+
+
+def _write_columns(
+    path: str | Path, columns: Sequence[np.ndarray], header: str | None = None
+) -> None:
+    """Write equal-length float columns as rows of ``repr``s, ``_CHUNK`` rows per write.
+
+    The line ``header`` comes first when one is given.
+    """
+    row = ",".join(["{!r}"] * len(columns)) + "\n"
     with Path(path).open("w", encoding="utf-8") as out:
-        for start in range(0, xs.size, _CHUNK):
+        if header is not None:
+            out.write(header + "\n")
+        for start in range(0, columns[0].size, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            lines = map("{!r},{!r}\n".format, xs[rows].tolist(), f.values[rows].tolist())
-            out.write("".join(lines))
+            out.write("".join(map(row.format, *(column[rows].tolist() for column in columns))))
 
 
 def _read_text(path: str | Path) -> str:

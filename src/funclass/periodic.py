@@ -273,7 +273,8 @@ def perturbation_check(
 
     Requires ``g`` non-decreasing on the same grid as ``k``.  The hypothesis
     compares the smallest full-window rise of ``g`` against the oscillation of
-    ``k``; if it fails, the perturbed functions are not judged.
+    ``k``; if it fails, the perturbed functions are not judged.  An oscillation
+    of ``k`` past the float range is a ``GridError``.
     """
     g._require_same_grid(k)
     _require_period(g, p)
@@ -285,7 +286,10 @@ def perturbation_check(
 
     full = _window_heights(v, p.w)[: v.size - p.w]  # +inf past the float range, still a bound
     min_window = float(np.min(full))
-    k_height = float(np.max(k.values) - np.min(k.values))
+    with np.errstate(over="ignore"):
+        k_height = float(np.max(k.values) - np.min(k.values))
+    if not math.isfinite(k_height):
+        raise GridError("the height of k overflows on this grid")
     hypothesis = tol.geq(min_window, k_height)
     if not hypothesis:
         return PerturbationReport(False, min_window, k_height, plus=None, minus=None)
@@ -333,7 +337,7 @@ def decompose(
         )
     step_l = float(np.mean(diffs))
 
-    g = envelopes(f).f_lower
+    g = f.with_values(_suffix_min(v))
     h = f - g
     hv = h.values
     per_err = float(np.max(np.abs(hv[p.w:] - hv[: hv.size - p.w])))

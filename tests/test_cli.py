@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funclass import cli, subadd
+from funclass import cli, periodic, subadd
 from funclass.cli import COMMANDS, run
 from funclass.grid import GridError, sample
 
@@ -176,6 +176,17 @@ class TestToleranceConfig:
                 "--tol-abs", "1e-9"]
         assert invoke(capsys, argv)[0] == 0
 
+    def test_each_call_reads_the_environment_of_its_own(self, capsys, monkeypatch):
+        # the parser is reused across calls, the tolerance variables are not
+        argv = ["check-order", "--expr", "x^2", "--from", "0", "--to", "1",
+                "--samples", "5", "--n", "1"]
+        monkeypatch.setenv("FUNCLASS_TOL_ABS", "10")
+        assert invoke(capsys, argv)[0] == 0
+        monkeypatch.delenv("FUNCLASS_TOL_ABS")
+        assert invoke(capsys, argv)[0] == 1
+        monkeypatch.setenv("FUNCLASS_TOL_ABS", "10")
+        assert invoke(capsys, argv)[0] == 0
+
 
 class TestPlotCsv:
     def test_envelope_columns(self, capsys, tmp_path):
@@ -204,6 +215,20 @@ class TestPlotCsv:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "x,f,center"
         assert all(line.endswith(",1.0") for line in lines[1:])
+
+    def test_long_plot_is_the_joined_rows(self, capsys, tmp_path):
+        # 40001 rows take three writes of up to 16384 rows; the file must still be
+        # the header and every row of reprs, joined by newlines
+        out_csv = tmp_path / "plot.csv"
+        expr = "x + 0.3*sin(2*pi*x)"
+        argv = ["heights", "--expr", expr, "--from", "0", "--to", "50", "--samples", "40001",
+                "--d", "1", "--plot-csv", str(out_csv)]
+        assert invoke(capsys, argv)[0] == 0
+        f = sample(expr, 0.0, 50.0 / 40000, 40001)
+        heights = periodic.heights(f, periodic.PeriodSpec.for_grid(f, 1.0)).window_heights
+        columns = (f.xs().tolist(), f.values.tolist(), heights.tolist())
+        rows = (",".join(repr(v) for v in row) for row in zip(*columns))
+        assert out_csv.read_bytes() == ("\n".join(["x,f,window_height", *rows]) + "\n").encode()
 
 
 class TestReportShapes:
@@ -372,26 +397,48 @@ GOLDEN = [
 ]
 
 
+def _check_golden(capsys, tmp_path, argv, code, stdout_sha, plot_sha, with_plot=True):
+    paths = {}
+    for name, values in FIXTURES.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(_csv_text(values))
+    plot = tmp_path / "plot.csv"
+    plot.unlink(missing_ok=True)
+    argv = [arg.format(**paths) for arg in argv]
+    got, out, _ = invoke(capsys, argv + ["--plot-csv", str(plot)] if with_plot else argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    got_plot = hashlib.sha256(plot.read_bytes()).hexdigest() if plot.exists() else None
+    assert got_plot == (plot_sha if with_plot else None)
+
+
 class TestGoldenOutput:
     """Every command's stdout, exit code and plot CSV, pinned byte for byte."""
 
-    @pytest.mark.parametrize("argv, code, stdout_sha, plot_sha",
-                             [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN])
-    def test_output_is_pinned(self, capsys, monkeypatch, tmp_path, argv, code, stdout_sha,
-                              plot_sha):
+    @pytest.fixture(autouse=True)
+    def _default_tolerance(self, monkeypatch):
         monkeypatch.delenv("FUNCLASS_TOL_ABS", raising=False)
         monkeypatch.delenv("FUNCLASS_TOL_REL", raising=False)
-        paths = {}
-        for name, values in FIXTURES.items():
-            paths[name] = tmp_path / f"{name}.csv"
-            paths[name].write_text(_csv_text(values))
-        plot = tmp_path / "plot.csv"
-        argv = [arg.format(**paths) for arg in argv] + ["--plot-csv", str(plot)]
-        got, out, _ = invoke(capsys, argv)
-        assert got == code
-        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-        got_plot = hashlib.sha256(plot.read_bytes()).hexdigest() if plot.exists() else None
-        assert got_plot == plot_sha
+
+    @pytest.mark.parametrize("argv, code, stdout_sha, plot_sha",
+                             [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN])
+    def test_output_is_pinned(self, capsys, tmp_path, argv, code, stdout_sha, plot_sha):
+        _check_golden(capsys, tmp_path, argv, code, stdout_sha, plot_sha)
+
+    def test_pins_hold_after_rejected_calls(self, capsys, tmp_path):
+        # run() reuses one parser: calls that argparse rejects leave no trace in it,
+        # and a report without --plot-csv is the same as with it
+        rejected = [
+            ["check-order", "--expr", "x", "--csv", "f.csv", "--n", "1"],
+            ["heights", "--expr", "x", "--to", "1", "--samples", "5"],
+            ["star-region", "--expr", "x", "--kind", "cone", "--p", "1"],
+            ["min-order", "--expr", "x", "--n-max", "two"],
+            ["no-such-command"],
+        ]
+        for k, (_, argv, code, stdout_sha, plot_sha) in enumerate(GOLDEN):
+            assert invoke(capsys, rejected[k % len(rejected)])[0] == 2
+            for with_plot in (False, True):
+                _check_golden(capsys, tmp_path, argv, code, stdout_sha, plot_sha, with_plot)
 
 
 class TestCommandTable:
@@ -433,6 +480,21 @@ class TestConsoleScript:
         assert proc.stdout == ""
         assert proc.stderr == f"funclass: error: {message}\n"
         assert not plot.exists()
+
+    def test_abscissa_past_the_float_range(self, tmp_path):
+        # 3 * step rounds past the largest double: the plot writes that x as inf,
+        # and without --plot-csv no abscissa is computed at all
+        plot = tmp_path / "plot.csv"
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "funclass", "heights",
+                "--expr", "1", "--from", "0", "--to", "1.7976931348623157e308",
+                "--samples", "4", "--d", "5.992310449541053e307"]
+        for extra in ([], ["--plot-csv", str(plot)]):
+            proc = subprocess.run(argv + extra, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout)["window_heights"] == [0.0] * 4
+        lines = plot.read_text().splitlines()
+        assert lines[0] == "x,f,window_height"
+        assert lines[-1] == "inf,1.0,0.0"
 
 
 # Report-shaped objects for the JSON writer: keys with non-ASCII, quote and "%"

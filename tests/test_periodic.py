@@ -327,6 +327,14 @@ class TestPerturbationCheck:
         assert rep.hypothesis_holds and rep.min_window_height == 1.5e308
         assert rep.plus.holds and rep.minus.holds
 
+    def test_k_height_past_the_float_range_raises(self):
+        # an infinite k height would pass the hypothesis (the relative margin is
+        # inf too) while both perturbed checks fail
+        g = fc.GridFunction(0.0, 1.0, [0.0, 1.0, 2.0, 3.0])
+        k = g.with_values([-1e308, 1e308, 0.0, 0.0])
+        with pytest.raises(fc.GridError, match="height of k overflows"):
+            fc.perturbation_check(g, k, fc.PeriodSpec(1.0, 1))
+
     def test_oversized_perturbation_makes_no_claim(self):
         g = fc.sample(lambda t: t, 0, 0.05, 61)
         k = fc.sample(lambda t: 2.0 * math.sin(2 * math.pi * t), 0, 0.05, 61)
