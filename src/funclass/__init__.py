@@ -7,6 +7,7 @@ from .grid import (
     GridFunction,
     Tolerance,
     Witness,
+    Witnesses,
     read_csv,
     read_json,
     sample,

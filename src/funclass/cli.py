@@ -2,10 +2,11 @@
 analysis, print a JSON report on stdout.
 
 Reports are byte-identical to ``json.dumps(report, indent=2, allow_nan=False)``
-but come from one writer here, ``_to_json``: with ``indent``, ``json`` runs a
-pure-Python encoder that spends a generator step per value, which made it the
-slowest stage of a large report.  The writer encodes lists of one scalar type
-and lists of flat dicts with the same keys (witness lists) column by column.
+with witnesses expanded to ``[w.to_dict() for w in witnesses]``, but come from
+one writer here, ``_to_json``: with ``indent``, ``json`` runs a pure-Python
+encoder that spends a generator step per value, which made it the slowest
+stage of a large report.  The writer encodes lists of one scalar type and the
+``grid.Witnesses`` columns that reports hold column by column.
 
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
@@ -32,14 +33,15 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import periodic, starconvex, subadd
 from .expr import EvalError, ParseError
-from .grid import GridError, GridFunction, Tolerance, _write_columns, read_csv, sample
+from .grid import (
+    GridError, GridFunction, Tolerance, Witnesses, _write_columns, read_csv, sample,
+)
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -132,7 +134,7 @@ def _periodic_check(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -
     verdict = periodic.is_periodically_increasing(f, args.period, tol)
     out = {
         "periodic_increasing": verdict.holds,
-        "witnesses": [w.to_dict() for w in verdict.witnesses],
+        "witnesses": verdict.witnesses,
     }
     return verdict.holds, out, {}
 
@@ -152,10 +154,11 @@ def _periodic_minorant(f: GridFunction, args: argparse.Namespace, tol: Tolerance
 
 
 def _envelope(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
-    env = periodic.envelopes(f)
     hat = periodic.check_hat_bound(f, args.period, tol)
     out = {"hat_bound": {"bound": hat.bound, "sup_err": hat.sup_err, "holds": hat.holds}}
-    return hat.holds, out, {name: g.values for name, g in env._asdict().items()}
+    if not args.plot_csv:
+        return hat.holds, out, {}
+    return hat.holds, out, {name: g.values for name, g in periodic.envelopes(f)._asdict().items()}
 
 
 def _decompose(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
@@ -298,27 +301,39 @@ def _column(kind: type, values: Sequence) -> Iterable[str]:
     return map(_CONSTANTS.__getitem__, values)
 
 
-def _rows(dicts: Sequence[dict], indent: str) -> Iterable[str] | None:
-    """Flat dicts with the same str keys, one scalar type per key: one template per row."""
-    keys = tuple(dicts[0])
-    if set(map(tuple, dicts)) != {keys} or _kind(keys) is not str:
-        return None
-    columns = [list(map(itemgetter(key), dicts)) for key in keys]
-    kinds = list(map(_kind, columns))
-    if not all(kind in _SCALARS for kind in kinds):
-        return None
-    inner = indent + "  "
-    fields = (inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    return map(("{" + ",".join(fields) + indent + "}").__mod__, zip(*map(_column, kinds, columns)))
-
-
 def _items(items: list | tuple, indent: str) -> Iterable[str]:
     kind = _kind(items)
     if kind in _SCALARS:
         return _column(kind, items)
-    if kind is dict and (rows := _rows(items, indent)) is not None:
-        return rows
     return (_encode(item, indent) for item in items)
+
+
+def _reprs(column: np.ndarray) -> Iterable[str]:
+    """Each entry's ``repr``, made once per distinct value where at most half are distinct.
+
+    Indices and grid values repeat.  Values are told apart by their bits, so
+    -0.0 is not 0.0.
+    """
+    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * distinct.size > column.size:  # mostly distinct: the lookup would cost more
+        return map(repr, column.tolist())
+    texts = list(map(repr, distinct.view(column.dtype).tolist()))
+    return map(texts.__getitem__, at.tolist())
+
+
+def _witness_rows(witnesses: Witnesses, indent: str) -> Iterable[str]:
+    """``[w.to_dict() for w in witnesses]``'s items as ``json`` writes them, from the columns.
+
+    ``slack`` is ``lhs - rhs`` in numpy, the bits of ``Witness.slack``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = witnesses.lhs - witnesses.rhs
+    if not all(np.isfinite(side).all() for side in (witnesses.lhs, witnesses.rhs, slack)):
+        raise ValueError("JSON has no inf or NaN")
+    inner = indent + "  "
+    fields = (f'{inner}"{key}": %s' for key in ("i", "j", "lhs", "rhs", "slack"))
+    columns = (witnesses.i, witnesses.j, witnesses.lhs, witnesses.rhs, slack)
+    return map(("{" + ",".join(fields) + indent + "}").__mod__, zip(*map(_reprs, columns)))
 
 
 def _key(key: object) -> str:
@@ -341,8 +356,11 @@ def _encode(o: object, indent: str) -> str:
         _require_finite((o,))
         return float.__repr__(o)
     inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        return "[" + inner + ("," + inner).join(_items(o, inner)) + indent + "]" if o else "[]"
+    if isinstance(o, (list, tuple, Witnesses)):
+        if not o:
+            return "[]"
+        items = _witness_rows(o, inner) if isinstance(o, Witnesses) else _items(o, inner)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -354,11 +372,11 @@ def _encode(o: object, indent: str) -> str:
 def _to_json(report: dict) -> str:
     """``report`` as ``json.dumps(report, indent=2, allow_nan=False)`` writes it, byte for byte.
 
-    ``_items`` encodes a list of one scalar type (value arrays) and a list of
-    flat dicts with the same str keys and one scalar type per key (witness
-    lists) column by column with ``map``; anything else goes through
-    ``_encode`` value by value.  A non-finite float is a ``GridError``, and an
-    unsupported type raises ``TypeError`` as in ``json``.
+    A ``grid.Witnesses`` is written as ``[w.to_dict() for w in witnesses]``.
+    It and a list of one scalar type (value arrays) are encoded column by
+    column with ``map``; anything else goes through ``_encode`` value by
+    value.  A non-finite float is a ``GridError``, and an unsupported type
+    raises ``TypeError`` as in ``json``.
     """
     try:
         return _encode(report, "\n")

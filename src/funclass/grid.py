@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +25,7 @@ __all__ = [
     "GridFunction",
     "Tolerance",
     "Witness",
+    "Witnesses",
     "read_csv",
     "read_json",
     "sample",
@@ -41,9 +42,10 @@ class GridError(ValueError):
 class Tolerance:
     """Acceptance rule for floating-point inequalities.
 
-    ``X <= Y`` is accepted iff ``X <= Y + abs + rel * max(|X|, |Y|)``.
-    Equality is accepted iff both directions are.  ``rel`` must stay below 1,
-    otherwise acceptance would not be monotone in ``Y``.
+    ``X <= Y`` is accepted iff ``X <= Y + abs + rel * max(|X|, |Y|)``, except
+    that an infinite ``X``, whose margin is infinite too, is accepted only
+    against ``Y = +inf``.  Equality is accepted iff both directions are.
+    ``rel`` must stay below 1, otherwise acceptance would not be monotone in ``Y``.
     """
 
     abs: float = 1e-9
@@ -61,13 +63,21 @@ class Tolerance:
         return self.abs + self.rel * max(abs(x), abs(y))
 
     def leq(self, x: float, y: float) -> bool:
+        if math.isinf(x):
+            return y == math.inf
         return x <= y + self.margin(x, y)
 
     def leq_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise :meth:`leq` with the same operation order, so bit for bit equal.
 
-        Builds at most two temporaries of the broadcast shape besides the result.
+        Builds at most two temporaries of the broadcast shape besides the result
+        when every ``x`` is finite; the test for that reads ``x`` alone.
         """
+        infinite = np.isinf(x)
+        if infinite.any():  # those entries are decided by y alone; their stand-in 0 may meet y = inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                rest = self.leq_array(np.where(infinite, 0.0, x), y)
+            return np.where(infinite, y == np.inf, rest)
         if self.rel == 0.0:
             return x <= y + self.abs
         rhs = np.abs(x, out=np.empty(np.broadcast_shapes(np.shape(x), np.shape(y))))
@@ -115,6 +125,44 @@ class Witness:
     def to_dict(self) -> dict:
         i, j = (self.indices + (None, None))[:2]
         return {"i": i, "j": j, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
+
+
+class Witnesses(Sequence[Witness]):
+    """Failing pairs as four columns: indices ``i``, ``j`` and sides ``lhs``, ``rhs``.
+
+    A read-only sequence of ``Witness((i, j), lhs, rhs)`` at 32 bytes per pair:
+    ``len`` is O(1), an item is built only when it is read, and the sequence
+    equals the tuple of the same witnesses, so ``report.violations == ()``
+    holds when nothing failed.
+    """
+
+    __slots__ = ("i", "j", "lhs", "rhs")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        columns = (np.asarray(i, np.int64), np.asarray(j, np.int64),
+                   np.asarray(lhs, np.float64), np.asarray(rhs, np.float64))
+        if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
+            raise GridError("witness columns must be 1-D and of one length")
+        self.i, self.j, self.lhs, self.rhs = (column.view() for column in columns)
+        for column in (self.i, self.j, self.lhs, self.rhs):  # views: the caller's keep their flags
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.i.size
+
+    def __getitem__(self, k: int) -> Witness:  # type: ignore[override]
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"witness index {k} out of range for {len(self)} witnesses")
+        return Witness((int(self.i[k]), int(self.j[k])), float(self.lhs[k]), float(self.rhs[k]))
+
+    def __iter__(self) -> Iterator[Witness]:
+        pairs = zip(self.i.tolist(), self.j.tolist())
+        return map(Witness, pairs, self.lhs.tolist(), self.rhs.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Witnesses, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,11 @@ Every pair check walks the triangle of pairs along anti-diagonals ``k = i + j``:
 the pairs of one diagonal share the left side ``v[k]`` and read contiguous
 runs of ``v`` and ``x``, so a band of consecutive diagonals is one strided view,
 with no index arrays.  Bands hold at most ``PAIR_BLOCK`` pairs, so the scans
-take O(N^2) time in memory independent of N, besides the witnesses.  A band
-passes iff each diagonal's smallest bound passes, since ``Tolerance``
+take O(N^2) time in memory independent of N, plus 32 bytes per failing pair.
+A band passes iff each diagonal's smallest bound passes, since ``Tolerance``
 acceptance is monotone in the bound; only a failing band is compared pair by
-pair, and its witnesses are sorted back into ``(i, j)`` order.
+pair, and its witnesses are sorted back into ``(i, j)`` order and kept as
+the columns ``(i, j, lhs, rhs)`` of a ``grid.Witnesses``.
 
 The largest subadditive minorant ``sigma`` of ``f`` is the infimum of
 ``f(u_1) + ... + f(u_m)`` over grid partitions ``u_1 + ... + u_m = x``.  It is
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Tolerance, Witness
+from .grid import GridError, GridFunction, Tolerance, Witnesses
 
 __all__ = [
     "MinorantResult",
@@ -58,6 +59,7 @@ MAX_ORDER = 60  # binomial coefficients stay within double-precision range
 PAIR_BLOCK = 1 << 15  # pairs per tile; bounds every pair-scan temporary independently of N
 # rhs(va, xa, vb, xb) over one tile: the x-operand row (v[i], x[i]) and the y-operands (v[j], x[j])
 PairBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+_NO_WITNESSES = Witnesses((), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,14 @@ class SubadditivityReport:
     """Outcome of an order-``n`` check; ``holds`` iff ``violations`` is empty.
 
     Witness indices are multiples of the grid step, so on a grid starting at 0
-    they coincide with array indices.
+    they coincide with array indices.  ``to_dict`` keeps the ``Witnesses``
+    columns as they are: the CLI's JSON writer reads them column by column,
+    and ``[w.to_dict() for w in report.violations]`` expands them for ``json``.
     """
 
     order_tested: int
     holds: bool
-    violations: tuple[Witness, ...]
+    violations: Witnesses
     minimal_order: int | None = None
 
     def to_dict(self) -> dict:
@@ -78,7 +82,7 @@ class SubadditivityReport:
             "order": self.order_tested,
             "holds": self.holds,
             "minimal_order": self.minimal_order,
-            "violations": [w.to_dict() for w in self.violations],
+            "violations": self.violations,
         }
 
 
@@ -258,19 +262,13 @@ def _scan(
                 r, c = np.nonzero(~tol.leq_array(t.lhs[rows, None], bound[rows]))
                 failing.append((t.k + rows[r], t.i + c, bound[rows[r], c]))
     if not failing:
-        return SubadditivityReport(order_tested=n, holds=True, violations=())
-    k, i, rhs_bits = (np.concatenate(parts) for parts in zip(*failing))
-    del failing  # copied: free it before the witnesses are built
+        return SubadditivityReport(order_tested=n, holds=True, violations=_NO_WITNESSES)
+    k, i, bound = (np.concatenate(parts) for parts in zip(*failing))
+    del failing  # copied: free the parts before the sort
     order = np.lexsort((k, i))  # by i, then by j = k - i
-    k, i, rhs_bits = k[order], i[order], rhs_bits[order]
-    lhs = v.tolist()  # one float per sample, shared by the witnesses of its diagonal
-    found: list[Witness] = []
-    for s in range(0, k.size, PAIR_BLOCK):  # in slices: each slice's Python floats are short-lived
-        ks, is_ = k[s:s + PAIR_BLOCK] + m, i[s:s + PAIR_BLOCK] + m
-        pairs = zip(is_.tolist(), (ks - is_ + m).tolist())
-        lefts = map(lhs.__getitem__, ks.tolist())
-        found += map(Witness, pairs, lefts, rhs_bits[s:s + PAIR_BLOCK].tolist())
-    return SubadditivityReport(order_tested=n, holds=False, violations=tuple(found))
+    k, i = k[order], i[order]
+    found = Witnesses(i + m, k - i + m, v[k + m], bound[order])
+    return SubadditivityReport(order_tested=n, holds=False, violations=found)
 
 
 def check_order(f: GridFunction, n: int, tol: Tolerance = Tolerance()) -> SubadditivityReport:

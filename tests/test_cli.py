@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funclass import cli, periodic, subadd
+from funclass import cli, grid, periodic, subadd
 from funclass.cli import COMMANDS, run
-from funclass.grid import GridError, sample
+from funclass.grid import GridError, Witnesses, read_csv, sample
 
 SIN_TO = repr(2 * math.pi)
 
@@ -534,6 +535,39 @@ def reports(scalars):
     ), max_leaves=12), max_size=5)
 
 
+# Witness columns with repeated bit patterns, signed zeros, subnormals, values
+# near the float range and, for the sides, inf and NaN.
+WITNESS_INDICES = st.one_of(st.integers(0, 3), st.integers(-(2**63), 2**63 - 1))
+WITNESS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, 1e308, 1.7976931348623157e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def witness_columns(draw):
+    size = draw(st.integers(0, 16))
+    pool = draw(st.lists(WITNESS_VALUES, min_size=1, max_size=4))
+    sides = st.one_of(st.sampled_from(pool), st.sampled_from(pool), WITNESS_VALUES, NON_FINITE)
+    lhs, rhs = (draw(st.lists(sides, min_size=size, max_size=size)) for _ in range(2))
+    i, j = (draw(st.lists(WITNESS_INDICES, min_size=size, max_size=size)) for _ in range(2))
+    return Witnesses(i, j, lhs, rhs)
+
+
+def _expanded(report):
+    """``report`` with each ``Witnesses`` expanded to the list of its witnesses' dicts."""
+    return {key: [w.to_dict() for w in value] if isinstance(value, Witnesses) else value
+            for key, value in report.items()}
+
+
+def _first_difference(got, want):
+    """None when the texts are equal, else the offset of the first difference.
+
+    Cheaper than pytest's diff of two texts of many megabytes."""
+    return None if got == want else len(os.path.commonprefix([got, want]))
+
+
 def _encoded(encode, obj):
     """The text, or the class of error ``cli._to_json`` gives for what ``encode`` raised."""
     try:
@@ -584,17 +618,27 @@ class TestJsonWriter:
         f = sample("1.3*x^2.5", 0.0, 8.0 / 512, 513)
         report = subadd.check_order(f, 2).to_dict()
         assert len(report["violations"]) == 130_816
-        assert cli._to_json(report) == _dumps(report)
+        assert _first_difference(cli._to_json(report), _dumps(_expanded(report))) is None
+
+    @given(witness_columns())
+    @example(Witnesses([1] * 6, [2] * 6, [0.0, -0.0] * 3, [-0.0, 0.0] * 3))
+    @example(Witnesses([0, 0, 1, 1], [1, 1, 2, 2], [2.0] * 4, [math.nan, math.nan, 0.5, 0.5]))
+    @example(Witnesses([3] * 4, [4] * 4, [1.7e308] * 4, [-1.7e308] * 4))  # the slack overflows
+    @settings(max_examples=400, deadline=None)
+    def test_witness_columns_as_json_dumps_writes_the_dict_rows(self, witnesses):
+        report = {"violations": witnesses, "n": 1}
+        assert _encoded(cli._to_json, report) == _encoded(_dumps, _expanded(report))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("place", [
         lambda x: {"value": x},
         lambda x: {"values": [0.0, 1.5, x, 2.0]},
         lambda x: {"violations": [{"i": 1, "j": 2, "lhs": 1.0, "rhs": x}] * 3},
+        lambda x: {"violations": Witnesses([1] * 3, [2] * 3, [1.0] * 3, [x] * 3)},
         lambda x: {"nested": {"deeper": [{"level": x, "witness": None}]}},
         lambda x: {"tuple": (1, x)},
         lambda x: {"key": {x: 1}},
-    ], ids=["scalar", "float-list", "witness-column", "nested", "tuple", "key"])
+    ], ids=["scalar", "float-list", "witness-column", "witnesses", "nested", "tuple", "key"])
     def test_non_finite_values_exit_2_without_output(self, capsys, monkeypatch, bad, place):
         def handler(f, args, tol):
             return True, place(bad), {}
@@ -604,3 +648,47 @@ class TestJsonWriter:
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "funclass: error: a result overflowed to inf or NaN, which JSON cannot hold\n"
+
+
+class TestWitnessReports:
+    """Reports keep witnesses as ``Witnesses`` columns; the CLI prints what
+    ``json.dumps`` prints of the report with them expanded to dicts."""
+
+    @staticmethod
+    def expect_expanded(capsys, argv, code, report):
+        got, out, _ = invoke(capsys, argv)
+        assert got == code
+        assert out == _dumps(_expanded(report)) + "\n"
+        return out
+
+    def test_ratio_offset_indices(self, capsys):
+        f = sample("x^3", 0.0, 1.0 / 16, 17)
+        rep = subadd.check_order_offset(subadd.ratio_transform(f, 1), 1)
+        assert rep.violations[0].indices == (1, 1)  # steps from 0, not array positions
+        argv = ["ratio", "--expr", "x^3", "--to", "1", "--samples", "17", "--n", "1"]
+        self.expect_expanded(capsys, argv, 1, {"transform": "ratio", "n": 1, **rep.to_dict()})
+
+    def test_weak_bound(self, capsys):
+        rep = subadd.check_weak_bound(sample("x^3", 0.0, 1.0 / 32, 33), 1)
+        assert len(rep.violations) > 100
+        argv = ["weak-bound", "--expr", "x^3", "--to", "1", "--samples", "33", "--n", "1"]
+        self.expect_expanded(capsys, argv, 1, rep.to_dict())
+
+    def test_periodic_witnesses_keep_a_negative_zero_rhs(self, capsys, tmp_path):
+        # 5 then a zero of alternating sign: each 5 fails against the next zero
+        path = tmp_path / "zeros.csv"
+        path.write_text("".join(f"{k},{(5.0, 0.0, 5.0, -0.0)[k % 4]!r}\n" for k in range(41)))
+        f = read_csv(path)
+        verdict = periodic.is_periodically_increasing(f, periodic.PeriodSpec(1.0, 1))
+        assert [math.copysign(1.0, w.rhs) for w in verdict.witnesses] == [1.0, -1.0] * 10
+        report = {"d": 1.0, "w": 1, "periodic_increasing": False, "witnesses": verdict.witnesses}
+        out = self.expect_expanded(capsys, ["periodic-check", "--csv", str(path), "--d", "1"], 1, report)
+        assert out.count('"rhs": -0.0') == 10
+
+    def test_no_witness_object_is_built_per_pair(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(grid, "Witness", lambda *fields: built.append(fields))
+        argv = ["check-order", "--expr", "x^2", "--to", "1", "--samples", "65", "--n", "1"]
+        code, out, _ = invoke(capsys, argv)
+        assert (code, built) == (1, [])
+        assert len(json.loads(out)["violations"]) > 1000

@@ -49,6 +49,22 @@ class TestTolerance:
         x, y = np.array([1e300, 1.0]), np.array([math.inf, 0.5])
         assert tol.leq_array(x, y).tolist() == [True, False]
 
+    @pytest.mark.parametrize("tol", [fc.Tolerance(), fc.Tolerance(0.0, 0.0), fc.Tolerance(0.5, 0.5)])
+    def test_an_infinite_lhs_is_accepted_only_against_plus_inf(self, tol):
+        # with rel > 0 the margin rel * max(|X|, |Y|) of an infinite X is inf,
+        # and a finite Y plus an infinite margin accepted anything
+        ys = [1.0, -1.0, 0.0, 1.7e308, -1.7e308, -math.inf, math.nan, math.inf]
+        for x in (math.inf, -math.inf):
+            want = [y == math.inf for y in ys]
+            assert [tol.leq(x, y) for y in ys] == want
+            assert tol.leq_array(np.full(len(ys), x), np.array(ys)).tolist() == want
+            assert tol.leq_array(x, np.array(ys)).tolist() == want
+        assert not tol.geq(1.0, math.inf)
+        assert tol.eq(math.inf, math.inf)
+        # a column of left sides against a tile of right sides, as the pair scans call it
+        lhs, bound = np.array([[math.inf], [1.0]]), np.array([[1.0, math.inf], [2.0, 0.5]])
+        assert tol.leq_array(lhs, bound).tolist() == [[False, True], [True, tol.leq(1.0, 0.5)]]
+
     def test_leq_array_matches_scalar_rule(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, 2000)
@@ -66,6 +82,32 @@ class TestWitness:
         assert hash(w) == hash(fc.Witness(indices=(2, 3), lhs=1.5, rhs=0.5))
         with pytest.raises(AttributeError):
             w.lhs = 0.0
+
+
+    def test_witness_columns_are_a_sequence_of_witnesses(self):
+        w = fc.Witnesses([1, 2, 3], [4, 5, 6], [1.5, -0.0, 2.5], [0.5, 0.25, 5e-324])
+        items = (fc.Witness((1, 4), 1.5, 0.5), fc.Witness((2, 5), -0.0, 0.25),
+                 fc.Witness((3, 6), 2.5, 5e-324))
+        assert len(w) == 3 and w
+        assert w == items and items == w and w == fc.Witnesses(w.i, w.j, w.lhs, w.rhs)
+        assert w != items[:2] and w != items[::-1] and w != list(items)
+        assert tuple(w) == items and list(reversed(w)) == list(items[::-1])
+        assert (w[0], w[-1], w[-3]) == (items[0], items[2], items[0])
+        assert type(w[0].indices[0]) is int and type(w[0].lhs) is float
+        assert math.copysign(1.0, w[1].lhs) == -1.0
+        assert w.index(items[1]) == 1 and items[2] in w
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                w[k]
+        assert sum(c.nbytes for c in (w.i, w.j, w.lhs, w.rhs)) == 32 * len(w)
+        with pytest.raises(ValueError):
+            w.rhs[0] = 1.0
+        empty = fc.Witnesses([], [], [], [])
+        assert len(empty) == 0 and not empty and empty == () and () == empty
+        assert list(empty) == [] and empty != items
+        for columns in (([1], [2, 3], [1.0], [0.0]), ([[1]], [[2]], [[1.0]], [[0.0]])):
+            with pytest.raises(fc.GridError, match="1-D and of one length"):
+                fc.Witnesses(*columns)
 
 
 class TestGridFunction:
