@@ -312,6 +312,7 @@ def decompose(
     differences ``f(x + d) - f(x)`` to be constant (checked with a margin ten
     times looser than the base tolerance, since this is a hypothesis on data).
     ``g`` is the largest increasing minorant; ``h = f - g`` is ``d``-periodic.
+    A shift difference past the float range is a ``GridError``.
     """
     _require_period(f, p)
     if f.n <= 2 * p.w:
@@ -321,9 +322,12 @@ def decompose(
     _require_periodically_increasing(f, p, tol)
 
     v = f.values
-    diffs = v[p.w:] - v[: v.size - p.w]
+    with np.errstate(over="ignore"):  # an overflowing difference is +-inf, rejected below
+        diffs = v[p.w:] - v[: v.size - p.w]
     hi = int(np.argmax(diffs))
     lo = int(np.argmin(diffs))
+    if not (math.isfinite(diffs[hi]) and math.isfinite(diffs[lo])):
+        raise GridError("shift differences overflow on this grid")
     scaled = 10.0 * tol.abs
     if not math.isfinite(scaled):
         raise GridError(

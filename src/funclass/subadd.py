@@ -16,6 +16,15 @@ acceptance is monotone in the bound; only a failing band is compared pair by
 pair, and its witnesses are sorted back into ``(i, j)`` order and kept as
 the columns ``(i, j, lhs, rhs)`` of a ``grid.Witnesses``.
 
+Before that scan, an O(N) certificate may decide a check: if ``f(x) / x^n``
+is non-increasing, then ``f`` is subadditive of order ``n`` (and meets the
+weak bound of order ``n``), since ``f(x+y) = x^n g(x+y) + ((x+y)^n - x^n)
+g(x+y) <= f(x) + r(x, y, n) f(y)`` with ``g = f / x^n``.  The certificate
+compares each ratio with the running minimum of the ratios before it, within
+a slack of a few ulps that the tolerance must cover (``_certified``).  It only
+ever answers "holds": certified implies the scan passes, and otherwise the
+scan decides.  ``minimal_order`` stops its sweep at the lowest certified order.
+
 The largest subadditive minorant ``sigma`` of ``f`` is the infimum of
 ``f(u_1) + ... + f(u_m)`` over grid partitions ``u_1 + ... + u_m = x``.  It is
 computed here by the min-plus recurrence
@@ -60,6 +69,10 @@ PAIR_BLOCK = 1 << 15  # pairs per tile; bounds every pair-scan temporary indepen
 # rhs(va, xa, vb, xb) over one tile: the x-operand row (v[i], x[i]) and the y-operands (v[j], x[j])
 PairBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 _NO_WITNESSES = Witnesses((), (), (), ())
+_EPS = 2.0**-52  # double-precision machine epsilon; the unit roundoff is eps / 2
+_SLACK = 16  # ulps a ratio may exceed the running minimum by and still certify
+_TINY = 2.0**-1022  # smallest normal double
+_FLOOR = 2.0**-960  # smallest nonzero value or ratio the certificate accepts
 
 
 @dataclass(frozen=True)
@@ -238,11 +251,106 @@ def _order_bound(n: int) -> PairBound:
     return rhs
 
 
+def _weak_bound(n: int) -> PairBound:
+    """The weak right-hand side ``max(va + q vb, q va + vb)``, ``q = 2^n - 1``, over one tile."""
+    q = float(2**n - 1)
+
+    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        ahead = np.multiply(vb, q)
+        ahead += va
+        return np.maximum(ahead, q * va + vb, out=ahead)
+
+    return rhs
+
+
+def _certified(f: GridFunction, n: int, tol: Tolerance, m: int) -> bool:
+    """An O(N) proof that every pair of an order-``n`` or weak scan passes.
+
+    ``m`` is the grid's origin in steps.  With ``G_p = fl(v_p / fl(x_p^n))``
+    over the samples with ``x > 0``, the grid is certified when each
+    ``G_k <= fl(M_{k-1} * (1 + c eps))``, ``M`` the running minimum of ``G``
+    and ``c = _SLACK``.  Comparing with the running minimum bounds each ratio by
+    every earlier one within one slack; a neighbour rule would let the slack
+    compound over N steps.  A pair with ``x = 0`` (``m = 0``) passes without
+    the argument: its bound ``v[0] + 1 * v[j]`` is at least ``v[j]``.
+
+    Rounding argument, with unit roundoff ``u = eps / 2`` and ``n <= 60``.  An
+    abscissa is ``x_p = p h (1 + a_p)`` with ``|a_p| <= eps`` for its step
+    multiple ``p`` (one rounding each for ``p * step`` and ``origin + ...``;
+    the origin is ``m h`` within ``u``).  Guards below keep every quantity
+    finite and normal, so each operation has relative error at most ``u``, and
+    ``fl(x^n)`` at most ``eps``.  Then, for positions ``j < k``:
+
+    * the test gives ``g_k <= g_j (1 + (c + 3.5) eps)`` for the exact ratios
+      ``g = v / x^n`` of the float abscissae (the comparison, its product,
+      two divisions and two powers);
+    * ``X = x_{a+b}`` is at most ``(x_a + x_b)(1 + 2 eps)``, so
+      ``v_X = X^n g_X <= (1 + 2n eps)(x_a^n g_X + R x_b^n g_X)``, where ``R``
+      is the exact ``r(x_a, x_b, n)``, and ``g_X`` is at most ``g_a`` and
+      ``g_b`` times ``1 + (c + 3.5) eps``;
+    * the order bound is computed from ``x_a / x_b`` by Horner's rule with
+      rounded binomials, then ``* v_b + v_a``: all terms are non-negative,
+      so it is at least ``(v_a + R v_b)(1 - 1.5n eps)``.  The weak bound, two
+      roundings of ``v_a + q v_b`` with ``q >= R`` when ``a <= b`` (and the
+      mirror when ``a > b``), is at least that too;
+    * acceptance adds ``fl(rel * max(lhs, bound))`` within three roundings.
+
+    So ``lhs <= bound (1 + (c + 3.5n + 3.5) eps)``, and the scan accepts
+    whenever ``rel >= (c + 3.5n + 5) eps`` plus second-order terms below
+    ``eps``; ``(c + 4n + 8) eps`` is required.  An overflowing bound is +inf
+    and accepts; values are finite by ``GridFunction``.  Guards, or the scan
+    decides:
+
+    * ``tol.rel >= (c + 4n + 8) eps``;
+    * the step and every ``fl(x^n)`` are normal and finite;
+    * the largest coefficient ``r(x_last, x_first, n)`` is finite: the scan
+      fails an infinite coefficient times a zero value (a NaN bound);
+    * nonzero values and ratios are at least ``2^-960``, and ``M_0 (1 + c eps)``
+      is finite, so no product, ratio or margin leaves the normal range.
+    """
+    skip = 0 if m else 1  # the pairs with x = 0 need no argument
+    v = f.values[skip:]
+    if v.size < 2 or tol.rel < (_SLACK + 4 * n + 8) * _EPS or f.step < _TINY:
+        return False
+    x = f.xs()[skip:]
+    with np.errstate(over="ignore"):
+        powers = x**n
+        if not (_TINY <= powers.min() and powers.max() < math.inf):
+            return False
+        if not math.isfinite(ratio_coefficient(float(x[-1]), float(x[0]), n)):
+            return False
+        g = v / powers
+        bound = np.minimum.accumulate(g[:-1])
+        bound *= 1.0 + _SLACK * _EPS
+    positive = v > 0.0
+    return bool(
+        bound[0] < math.inf  # the running minimum only falls, so every bound is finite
+        and np.all(g[1:] <= bound)
+        and np.min(v, where=positive, initial=math.inf) >= _FLOOR
+        and np.min(g, where=positive, initial=math.inf) >= _FLOOR
+    )
+
+
+def _decide(
+    f: GridFunction, n: int, tol: Tolerance, m: int, first: int, rhs: PairBound
+) -> SubadditivityReport:
+    """The pair check of ``_scan``: passed by the certificate where it holds, else scanned.
+
+    ``rhs`` is the order-``n`` or the weak bound of order ``n``; the certificate
+    proves both.
+    """
+    _require_non_negative(f)
+    if _certified(f, n, tol, m):
+        return SubadditivityReport(order_tested=n, holds=True, violations=_NO_WITNESSES)
+    return _scan(f, n, tol, m, first, rhs)
+
+
 def _scan(
     f: GridFunction, n: int, tol: Tolerance, m: int, first: int, rhs: PairBound
 ) -> SubadditivityReport:
     """Report the pairs ``a >= first``, ``b >= max(first, 1)`` failing ``v[a + b] <= rhs``.
 
+    Values must be non-negative (``_decide`` checks).
     Each band of anti-diagonals is decided by its smallest bound per diagonal:
     ``Tolerance`` acceptance is monotone in the bound, and a NaN bound makes
     the minimum NaN and fails.  Only a failing band compares entry by entry.
@@ -251,7 +359,6 @@ def _scan(
     So is an abscissa past the float range: it is +inf, as the scalar ``x(i)``
     is, and the order bound meets it as ``ratio_coefficient`` does.
     """
-    _require_non_negative(f)
     v = f.values
     failing: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     with np.errstate(over="ignore"):
@@ -279,7 +386,7 @@ def check_order(f: GridFunction, n: int, tol: Tolerance = Tolerance()) -> Subadd
     """
     _validate_order(n)
     _require_zero_origin(f)
-    return _scan(f, n, tol, 0, 0, _order_bound(n))
+    return _decide(f, n, tol, 0, 0, _order_bound(n))
 
 
 def check_order_offset(
@@ -292,7 +399,7 @@ def check_order_offset(
     """
     _validate_order(n)
     m = _offset_multiple(f)
-    return _scan(f, n, tol, m, m, _order_bound(n))
+    return _decide(f, n, tol, m, m, _order_bound(n))
 
 
 def minimal_order(
@@ -305,20 +412,25 @@ def minimal_order(
     ``n_max``); a band fails iff one of its diagonals' smallest bounds does, as
     in ``_scan``.  Each order passed over has a failing pair, so none below the
     candidate holds.
-    The candidate is then confirmed by a full scan, moving one order up wherever
+    The pass stops once the candidate reaches the lowest order the certificate
+    proves, where no pair can fail.
+    The candidate is then confirmed by ``check_order``, moving one order up wherever
     rounding breaks the nesting, so the result assumes no monotonicity in ``n``.
     When no order holds, the failing order-``n_max`` report is returned.
     """
     _validate_order(n_max)
     _require_zero_origin(f)
     _require_non_negative(f)
+    certified = next((k for k in range(1, n_max + 1) if _certified(f, k, tol, 0)), None)
     n = 1
     with np.errstate(over="ignore"):  # an overflowing bound is +inf, as in _scan
         for t in _tiles(f.values, f.xs(), 0, 0, 1):
-            while n < n_max and not np.all(
+            while n < n_max and n != certified and not np.all(
                 tol.leq_array(t.lhs, _order_bound(n)(t.va, t.xa, t.vb, t.xb).min(axis=1))
             ):
                 n += 1
+            if n == certified:
+                break
     while True:
         report = check_order(f, n, tol)
         if report.holds or n == n_max:
@@ -375,14 +487,7 @@ def check_weak_bound(
     """
     _validate_order(n)
     _require_zero_origin(f)
-    q = float(2**n - 1)
-
-    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        ahead = np.multiply(vb, q)
-        ahead += va
-        return np.maximum(ahead, q * va + vb, out=ahead)
-
-    return _scan(f, n, tol, 0, 1, rhs)
+    return _decide(f, n, tol, 0, 1, _weak_bound(n))
 
 
 def functional_equation_residual(f: GridFunction, n: int, i: int, j: int) -> float:
@@ -412,6 +517,9 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
 
     ``max_residual`` vanishes (up to roundoff scaled by ``max|v|``) exactly on
     the ``c * x^n`` family, so it measures distance from that solution set.
+    The residual of ``(i, j)`` is that of ``(j, i)``, bit for bit: the two sides
+    swap, computed by the same operations, and ``fl(a - b) = -fl(b - a)``.  So
+    only the pairs with ``i <= j`` are evaluated.
     """
     if not isinstance(n, int) or n < 2:
         raise GridError(f"power fit needs integer n >= 2, got {n!r}")
@@ -422,14 +530,22 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
     # x^n scaled by a power of two to below 1, so its squares cannot overflow
     _, e = np.frexp(np.max(xn))
     xs = np.ldexp(xn, -e)
-    c = float(np.ldexp(np.dot(v[1:], xs) / np.dot(xs, xs), -e))
+    with np.errstate(over="ignore"):  # an overflowing quotient is rejected below
+        c = float(np.ldexp(np.dot(v[1:], xs) / np.dot(xs, xs), -e))
+    if not math.isfinite(c):
+        raise GridError("power fit coefficient overflows on this grid")
 
     bound = _order_bound(n)
     worst = 0.0
     with np.errstate(over="ignore"):  # an overflowing side is rejected below
         for t in _tiles(v, f.xs(), 0, 1, 1):
-            ahead, behind = bound(t.va, t.xa, t.vb, t.xb), bound(t.vb, t.xb, t.va, t.xa)
-            pads = np.isinf(t.vb)  # outside the triangle, where both sides are +inf
+            # columns i <= j of some row: i <= (last diagonal) / 2
+            cols = (t.k + t.lhs.size - 1) // 2 - t.i + 1
+            if cols <= 0:
+                continue
+            va, xa, vb, xb = t.va[:cols], t.xa[:cols], t.vb[:, :cols], t.xb[:, :cols]
+            ahead, behind = bound(va, xa, vb, xb), bound(vb, xb, va, xa)
+            pads = np.isinf(vb)  # outside the triangle, where both sides are +inf
             ahead[pads] = behind[pads] = 0.0
             if not (np.all(np.isfinite(ahead)) and np.all(np.isfinite(behind))):
                 raise GridError("symmetry residual overflows on this grid")

@@ -467,7 +467,11 @@ class TestConsoleScript:
          "window heights overflow on this grid"),
         (["power-fit", "--n", "2"], "0,0\n1,1.7e308\n2,0\n3,1e308\n",
          "symmetry residual overflows on this grid"),
-    ], ids=["heights", "power-fit"])
+        (["power-fit", "--n", "2"], "0,1e308\n1,1.5e308\n2,1.6e308\n3,1.7e308\n",
+         "power fit coefficient overflows on this grid"),
+        (["decompose", "--d", "1"], "0,-1e308\n1,1e308\n2,1e308\n3,1.5e308\n",
+         "shift differences overflow on this grid"),
+    ], ids=["heights", "power-fit", "power-fit-coefficient", "decompose"])
     def test_overflowing_report_exits_2_before_any_output(self, tmp_path, command, rows, message):
         data, plot = tmp_path / "f.csv", tmp_path / "plot.csv"
         data.write_text(rows)

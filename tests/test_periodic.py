@@ -409,6 +409,12 @@ class TestDecompose:
         with pytest.raises(fc.GridError, match="not constant"):
             fc.decompose(f, spec, fc.Tolerance(0.79, 0.0))
 
+    def test_shift_difference_past_the_float_range_raises(self):
+        # f(x+1) - f(x) at x = 0 is 2e308: a GridError, not an inf shift (nor a warning)
+        f = fc.GridFunction(0.0, 1.0, [-1e308, 1e308, 1e308, 1.5e308])
+        with pytest.raises(fc.GridError, match=r"^shift differences overflow on this grid$"):
+            fc.decompose(f, fc.PeriodSpec(d=1.0, w=1))
+
     def test_tolerance_too_large_to_scale_is_rejected(self):
         # ten times this absolute tolerance overflows to inf, which is no tolerance
         f = fc.sample(lambda t: t, 0, 0.05, 61)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import funclass as fc
 from funclass import subadd
 from funclass.oracle import (
@@ -371,6 +374,40 @@ class TestFitPower:
         c = fc.fit_power(fc.sample("x", 0, 2500, 5), 40).c
         assert math.isclose(c, 1.0000075423381903e-156, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("values", [
+        [1e308, 1.5e308, 1.6e308, 1.7e308],  # sum v x^n passes the float range
+        [-1e308, 1e308, 1e308, 1.5e308],
+    ], ids=str)
+    def test_overflowing_coefficient_is_rejected_without_a_warning(self, values):
+        f = fc.GridFunction(0.0, 1.0, values)
+        with pytest.raises(fc.GridError, match=r"^power fit coefficient overflows on this grid$"):
+            fc.fit_power(f, 2)
+
+    def test_half_triangle_matches_the_full_triangle(self):
+        # same max_residual bits, and the same overflow verdict, as every ordered pair
+        rng = np.random.default_rng(6199)
+        verdicts = set()
+        for trial in range(200):
+            f = random_nonneg_grid(rng, 160)
+            if f.values.size < 3 or not np.any(f.values):
+                continue
+            if trial % 2:  # rescaled towards the float range, where sides may overflow
+                f = f.with_values(f.values / np.max(f.values) * (1e300, 1e306, 1.7e308)[trial % 3])
+            n = int(rng.integers(2, 9))
+            try:
+                got = fc.fit_power(f, n).max_residual.hex()
+            except fc.GridError as err:
+                got = str(err)
+            if got == "power fit coefficient overflows on this grid":
+                continue  # decided before the residual
+            expected = full_triangle_residual(f, n)
+            verdicts.add(expected is None)
+            if expected is None:
+                assert got == "symmetry residual overflows on this grid"
+            else:
+                assert got == expected.hex()
+        assert verdicts == {True, False}
+
     def test_coefficient_is_the_plain_quotient_when_nothing_overflows(self):
         rng = np.random.default_rng(6163)
         for _ in range(60):
@@ -379,6 +416,19 @@ class TestFitPower:
             xn = f.xs()[1:] ** n
             plain = float(np.dot(f.values[1:], xn) / np.dot(xn, xn))
             assert fc.fit_power(f, n).c.hex() == plain.hex()
+
+
+def full_triangle_residual(f, n):
+    """fit_power's residual over every ordered pair ``i, j >= 1``, or None if a side overflows."""
+    i, j = np.nonzero(np.add.outer(np.arange(f.values.size), np.arange(f.values.size)) <= f.n)
+    i, j = i[(i >= 1) & (j >= 1)], j[(i >= 1) & (j >= 1)]
+    v, x, bound = f.values, f.xs(), subadd._order_bound(n)
+    with np.errstate(over="ignore"):
+        ahead, behind = bound(v[i], x[i], v[j], x[j]), bound(v[j], x[j], v[i], x[i])
+        if not (np.all(np.isfinite(ahead)) and np.all(np.isfinite(behind))):
+            return None
+        worst = float(np.max(np.abs(ahead - behind)))
+    return worst if math.isfinite(worst) else None
 
 
 def witness_bits(witnesses):
@@ -399,19 +449,30 @@ class TestPairScanAgainstOracle:
 
     @staticmethod
     def scans(f, n, tol):
-        """Each pair scan of ``f`` beside the scalar loop's witnesses."""
-        yield fc.check_order(f, n, tol), pair_scan_bruteforce(f, n, tol)
-        yield fc.check_weak_bound(f, n, tol), pair_scan_bruteforce(f, n, tol, weak=True)
+        """Each pair check of ``f``, public and by the kernel alone, beside the scalar loop's witnesses.
+
+        A public check passes a certified grid without scanning, so ``_scan`` is
+        called as well: the kernel meets the scalar loop on passing grids too.
+        """
+        order = subadd._order_bound(n)
+        expected = pair_scan_bruteforce(f, n, tol)
+        yield fc.check_order(f, n, tol), expected
+        yield subadd._scan(f, n, tol, 0, 0, order), expected
+        expected = pair_scan_bruteforce(f, n, tol, weak=True)
+        yield fc.check_weak_bound(f, n, tol), expected
+        yield subadd._scan(f, n, tol, 0, 1, subadd._weak_bound(n)), expected
         if math.isfinite(3 * f.step):
             shifted = fc.GridFunction(3 * f.step, f.step, f.values)
-            yield fc.check_order_offset(shifted, n, tol), pair_scan_bruteforce(shifted, n, tol)
+            expected = pair_scan_bruteforce(shifted, n, tol)
+            yield fc.check_order_offset(shifted, n, tol), expected
+            yield subadd._scan(shifted, n, tol, 3, 3, order), expected
 
     @pytest.mark.parametrize("block", [None, 1, 7])
     def test_witnesses_match_scalar_loop(self, block, monkeypatch):
         if block is not None:  # tiles then split diagonals mid-band
             monkeypatch.setattr(subadd, "PAIR_BLOCK", block)
         rng = np.random.default_rng(2308)
-        found = 0
+        found = passed = certified = 0
         for trial in range(30):
             f = random_nonneg_grid(rng, 24) if trial % 2 else random_order_subadditive(rng)
             n = int(rng.integers(1, 5))
@@ -419,12 +480,17 @@ class TestPairScanAgainstOracle:
             cases = list(self.scans(f, n, tol))
             if f.values.size >= 3:
                 g = fc.ratio_transform(f, n)
-                cases.append((fc.check_order_offset(g, 1, tol), pair_scan_bruteforce(g, 1, tol)))
+                expected = pair_scan_bruteforce(g, 1, tol)
+                cases.append((fc.check_order_offset(g, 1, tol), expected))
+                cases.append((subadd._scan(g, 1, tol, 1, 1, subadd._order_bound(1)), expected))
+                certified += subadd._certified(g, 1, tol, 1)
             for rep, expected in cases:
                 assert witness_bits(rep.violations) == witness_bits(expected)
                 assert rep.holds == (not expected)
                 found += len(expected)
+                passed += rep.holds
         assert found > 100  # the comparison saw failing pairs, not only passes
+        assert passed > 50 and certified > 5  # and passing grids, some of them certified
         nan_bounds = 0
         for f in NON_FINITE_BOUNDS:
             for n in (1, 2, 60):
@@ -470,6 +536,148 @@ class TestPairScanAgainstOracle:
         expected = [fc.fit_power(f, n).max_residual.hex() for f, n in grids]
         monkeypatch.setattr(subadd, "PAIR_BLOCK", 3)
         assert [fc.fit_power(f, n).max_residual.hex() for f, n in grids] == expected
+
+
+EPS = 2.0**-52
+NEAR_TIE_RELS = [0.0, 1e-16, 5e-15, 1e-14, 6e-14, 1e-13, 1e-12]
+
+
+def near_tie_case(rng):
+    """``(f, n, tol, m)`` near the certificate's boundary, on a grid ``m`` steps from 0.
+
+    Power data ``c x^p`` with ``p`` at or just below ``n``, affine data
+    ``a + b x``, and order 55-60 data with a zero value, each perturbed by a
+    few ulps per sample; the relative tolerance runs from 0 to 1e-12.
+    """
+    kind = rng.integers(0, 3)
+    m = int(rng.choice([0, 0, 1, 3]))
+    step = float(rng.choice([1 / 64, 0.1, 0.25, 1.0, 3.0]))
+    x = (m + np.arange(int(rng.integers(3, 41)))) * step
+    c = float(rng.uniform(0.1, 3.0))
+    if kind == 0:
+        n = int(rng.integers(1, 7))
+        p = n - float(rng.choice([0.0, 1e-9, 1e-6, rng.uniform(0.0, n - 0.1)]))
+        values = c * x**p
+    elif kind == 1:
+        n = int(rng.integers(1, 5))
+        values = float(rng.choice([0.0, rng.uniform(0.0, 2.0)])) + c * x
+    else:
+        n = int(rng.integers(55, 61))
+        values = c * (x / x[-1]) ** (n - float(rng.choice([0.0, 1e-9, 0.5])))
+        values[int(rng.integers(1, x.size)):] = 0.0  # a zero tail keeps f / x^n non-increasing
+    values *= 1.0 + rng.integers(-4, 5, x.size) * EPS
+    values[x == 0.0] = 0.0
+    tol = fc.Tolerance(float(rng.choice([0.0, 1e-9])), float(rng.choice(NEAR_TIE_RELS)))
+    return fc.GridFunction(m * step, step, values), n, tol, m
+
+
+def kernel_reports(f, n, tol, m):
+    """The scans a certificate at order ``n`` stands for: order ``n``, and on a grid from 0 the weak bound."""
+    yield subadd._scan(f, n, tol, m, m, subadd._order_bound(n))
+    if m == 0:
+        yield subadd._scan(f, n, tol, 0, 1, subadd._weak_bound(n))
+
+
+class TestCertificate:
+    """Certified implies that the scan passes; otherwise the scan decides."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_certified_grids_pass_the_kernel(self, seed):
+        f, n, tol, m = near_tie_case(np.random.default_rng(seed))
+        if subadd._certified(f, n, tol, m):
+            for rep in kernel_reports(f, n, tol, m):
+                assert rep.holds, rep.violations[0]
+
+    def test_sound_on_seeded_near_tie_grids(self):
+        certified = refused_by_tolerance = 0
+        for seed in range(1500):
+            f, n, tol, m = near_tie_case(np.random.default_rng(seed))
+            if subadd._certified(f, n, tol, m):
+                certified += 1
+                assert all(rep.holds for rep in kernel_reports(f, n, tol, m)), seed
+            elif tol.rel < (subadd._SLACK + 4 * n + 8) * EPS:
+                refused_by_tolerance += 1
+        assert certified > 400 and refused_by_tolerance > 400  # both sides of the guard
+
+    def test_compounding_drift_is_refused(self):
+        # each ratio f(x) / x exceeds the one before by 6 ulps: within a neighbour
+        # rule's slack at every step, yet the drift fails 364,722 pairs
+        x = np.arange(2049) / 64
+        f = fc.GridFunction(0.0, 1 / 64, x * np.cumprod(np.full(2049, 1 + 6 * EPS)))
+        tol = fc.Tolerance(0.0, 1e-12)
+        assert not subadd._certified(f, 1, tol, 0)
+        assert len(fc.check_order(f, 1, tol).violations) == 364_722
+
+    @pytest.mark.parametrize("expr", ["0.1*x", "0.3*x", "1.7*x"])
+    def test_rounding_noisy_linear_grid_is_certified(self, expr, monkeypatch):
+        # fl(c * x) / x wobbles by an ulp, so only a certificate with slack holds
+        f = fc.sample(expr, 0, 1 / 64, 2049)
+        ratios = f.values[1:] / f.xs()[1:]
+        assert np.any(ratios[1:] > np.minimum.accumulate(ratios)[:-1])
+        assert subadd._certified(f, 1, fc.Tolerance(), 0)
+
+        def no_scan(*args):
+            raise AssertionError("the certified path scanned")
+
+        monkeypatch.setattr(subadd, "_scan", no_scan)
+        assert fc.check_order(f, 1).holds and fc.check_weak_bound(f, 1).holds
+        assert fc.minimal_order(f, 4).minimal_order == 1
+
+    @pytest.mark.parametrize("expr", ["0.1*x", "0.3*x", "x/3"])
+    def test_refused_when_the_tolerance_cannot_absorb_rounding(self, expr):
+        # with no tolerance, rounding alone fails pairs of c * x: the scan must decide
+        f = fc.sample(expr, 0, 0.1, 33)
+        for rel in (0.0, 1e-16):
+            tol = fc.Tolerance(0.0, rel)
+            assert not subadd._certified(f, 1, tol, 0)
+            expected = pair_scan_bruteforce(f, 1, tol)
+            assert expected or rel  # rounding fails pairs when nothing absorbs it
+            assert witness_bits(fc.check_order(f, 1, tol).violations) == witness_bits(expected)
+        assert subadd._certified(f, 1, fc.Tolerance(), 0)
+        assert fc.check_order(f, 1).holds
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_tolerance_guard_boundary(self, n):
+        f = fc.sample("x^0.5", 0, 1 / 64, 65)
+        least = (subadd._SLACK + 4 * n + 8) * EPS
+        assert subadd._certified(f, n, fc.Tolerance(0.0, least), 0)
+        assert not subadd._certified(f, n, fc.Tolerance(0.0, least * (1 - 2**-10)), 0)
+
+    def test_refused_when_a_coefficient_overflows(self):
+        # f = 0 has f / x^60 non-increasing, but r(x_{N-1}, x_1, 60) overflows, and
+        # times v[1] = 0 it is a NaN bound: the scan fails that pair
+        f = fc.GridFunction(0.0, 0.5, np.zeros(200_001))
+        x = f.xs()
+        assert np.all(np.isfinite(x**60))
+        bound = 0.0 + fc.ratio_coefficient(float(x[-2]), float(x[1]), 60) * 0.0  # v[N-1], v[1]
+        assert math.isnan(bound) and not fc.Tolerance().leq(0.0, bound)
+        assert not subadd._certified(f, 60, fc.Tolerance(), 0)
+        assert subadd._certified(f.with_values(f.values[:1001]), 60, fc.Tolerance(), 0)
+
+    @pytest.mark.parametrize("values, step", [
+        ([0.0, 1.0, 1e-300, 0.0], 1.0),  # a nonzero value below 2^-960
+        ([0.0, 1e-290, 1e-291, 0.0], 1e20),  # ratios below 2^-960
+        ([0.0, 1.0, 1.0, 1.0], 1e-160),  # x^2 underflows
+        ([0.0, 1.0, 2.0, 3.0], 5e-324),  # a subnormal step
+        ([0.0, 1.7976931348623157e308, 1.0, 1.0], 1.0),  # the first bound overflows
+    ], ids=["value", "ratio", "power", "step", "bound"])
+    def test_refused_outside_the_normal_range(self, values, step):
+        assert not subadd._certified(fc.GridFunction(0.0, step, values), 2, fc.Tolerance(), 0)
+
+    def test_minimal_order_sweep_stops_at_the_certified_order(self, monkeypatch):
+        f = x_power_grid(2.5, step=1 / 64, count=1025)
+        tiles = []
+        original = subadd._tiles
+
+        def counted(*args):
+            for t in original(*args):
+                tiles.append(t)
+                yield t
+
+        monkeypatch.setattr(subadd, "_tiles", counted)
+        assert fc.minimal_order(f, 8).minimal_order == 3
+        assert len(tiles) == 1  # the first band fails orders 1 and 2; order 3 is certified
 
 
 NEAR_FLOAT_RANGE = [
