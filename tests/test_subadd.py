@@ -421,7 +421,8 @@ class TestFitPower:
 def full_triangle_residual(f, n):
     """fit_power's residual over every ordered pair ``i, j >= 1``, or None if a side overflows."""
     i, j = np.nonzero(np.add.outer(np.arange(f.values.size), np.arange(f.values.size)) <= f.n)
-    i, j = i[(i >= 1) & (j >= 1)], j[(i >= 1) & (j >= 1)]
+    keep = (i >= 1) & (j >= 1)
+    i, j = i[keep], j[keep]
     v, x, bound = f.values, f.xs(), subadd._order_bound(n)
     with np.errstate(over="ignore"):
         ahead, behind = bound(v[i], x[i], v[j], x[j]), bound(v[j], x[j], v[i], x[i])
