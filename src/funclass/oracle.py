@@ -4,6 +4,9 @@
 positive parts and folds the values left to right, which is exactly the set of
 sums the min-plus recurrence minimizes over, so the two agree bit for bit.
 The size cap keeps the exponential enumeration honest.
+``minorant_recurrence`` is the plain per-sample loop of that recurrence, one
+numpy sum and one ``np.min`` per index, with no size cap: the blocked
+``subadd.subadditive_minorant`` must match it bit for bit.
 
 ``pair_scan_bruteforce`` is the scalar double loop behind every
 subadditivity-family pair scan: one ``ratio_coefficient`` and one
@@ -39,6 +42,7 @@ __all__ = [
     "is_center_bruteforce",
     "minimal_order_bruteforce",
     "minorant_bruteforce",
+    "minorant_recurrence",
     "pair_scan_bruteforce",
     "periodic_check_bruteforce",
     "periodic_witnesses_bruteforce",
@@ -72,6 +76,24 @@ def minorant_bruteforce(f: GridFunction, k: int) -> float:
     if k == 0:
         return float(v[0])
     return float(min(sum(v[part] for part in comp) for comp in _compositions(k)))
+
+
+def minorant_recurrence(f: GridFunction) -> np.ndarray:
+    """``S[k] = min(v[k], min_{1 <= j < k} S[j] + v[k - j])``, one index at a time.
+
+    ``S[k]`` keeps ``v[k]`` unless the smallest candidate is strictly smaller.
+    Partition sums that overflow are +inf, never the minimum.
+    """
+    if f.origin != 0.0:
+        raise GridError(f"grid must start at 0, got origin {f.origin!r}")
+    v = f.values
+    sigma = v.copy()
+    with np.errstate(over="ignore"):
+        for k in range(2, v.size):
+            best = float(np.min(sigma[1:k] + v[k - 1:0:-1]))
+            if best < sigma[k]:
+                sigma[k] = best
+    return sigma
 
 
 def pair_scan_bruteforce(

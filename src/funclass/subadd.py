@@ -32,7 +32,13 @@ computed here by the min-plus recurrence
     S[k] = min(v[k], min_{1 <= j <= k-1} S[j] + v[k-j])
 
 which reaches exactly the left-nested partial sums of every ordered partition,
-so it matches the brute-force enumeration bit for bit.  The gap
+so it matches the brute-force enumeration bit for bit.  The recurrence is
+blocked: for ``MINORANT_BLOCK = B`` consecutive indices at a time, the
+candidates of every finished index form one strided tile, the same view of a
+reversed copy of ``v`` as a band of anti-diagonals, reduced by row minimum;
+the few candidates inside the block follow on Python floats.  That is N^2/2
+pairs in tiles of at most ``PAIR_BLOCK`` entries plus about N*B/2 scalar
+additions, instead of one numpy call per sample.  The gap
 ``defect = max(f - sigma)`` is the least additive slack for which the
 partition inequality holds.
 """
@@ -66,6 +72,10 @@ __all__ = [
 
 MAX_ORDER = 60  # binomial coefficients stay within double-precision range
 PAIR_BLOCK = 1 << 15  # pairs per tile; bounds every pair-scan temporary independently of N
+# minorant samples settled per block.  Its full tiles have rows PAIR_BLOCK // 8 = 4096 long;
+# numpy (2.4) runs a 2-D add with rows of at most 2730, a third of its 8192-element buffer,
+# through that buffer at about 1.5x the cost per pair, so 12 (2730) or 16 is slower at large N
+MINORANT_BLOCK = 8
 # rhs(va, xa, vb, xb) over one tile: the x-operand row (v[i], x[i]) and the y-operands (v[j], x[j])
 PairBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 _NO_WITNESSES = Witnesses((), (), (), ())
@@ -203,7 +213,6 @@ def _tiles(v: np.ndarray, x: np.ndarray, m: int, first: int, second: int) -> Ite
     # the y-operand of pair (i, k - i) sits at position top + m - k + i
     vr = np.concatenate((v[j0:][::-1], np.full(j0 + pad, np.inf)))
     xr = np.concatenate((x[j0:][::-1], np.ones(j0 + pad)))
-    size = vr.itemsize
     k = i0 + j0
     while k <= top:
         # diagonal k holds w + 1 pairs; take the most rows with rows * (w + rows) <= PAIR_BLOCK
@@ -212,15 +221,26 @@ def _tiles(v: np.ndarray, x: np.ndarray, m: int, first: int, second: int) -> Ite
         width = w + rows  # pairs on the band's last diagonal
         span = PAIR_BLOCK // rows
         for i in range(i0, i0 + width, span):
-            # row r starts at top + m - k - r + i; numpy checks the view lies within the copy
-            shape = (rows, min(span, i0 + width - i))
-            offset, strides = (top + m - k + i) * size, (-size, size)
+            cols = min(span, i0 + width - i)
+            start = top + m - k + i
             yield _Tile(
-                k, i, v[k + m:k + m + rows], v[i:i + shape[1]], x[i:i + shape[1]],
-                np.ndarray(shape, vr.dtype, vr, offset, strides),
-                np.ndarray(shape, xr.dtype, xr, offset, strides),
+                k, i, v[k + m:k + m + rows], v[i:i + cols], x[i:i + cols],
+                _band(vr, start, rows, cols), _band(xr, start, rows, cols),
             )
         k += rows
+
+
+def _band(rev: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray:
+    """The view of ``rev`` whose entry ``[r, c]`` is ``rev[start - r + c]``, without a copy.
+
+    Each row runs forward in memory and starts one entry before the row above.
+    Over a reversed copy of ``v``, row ``r`` reads ``v`` backwards from one
+    entry further on than row ``r - 1`` does: the y-operands ``v[k + r - j]``
+    of consecutive anti-diagonals ``k + r``.  numpy checks that the view lies
+    within ``rev``.
+    """
+    size = rev.itemsize
+    return np.ndarray((rows, cols), rev.dtype, rev, start * size, (-size, size))
 
 
 def _order_bound(n: int) -> PairBound:
@@ -537,21 +557,21 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
 
     bound = _order_bound(n)
     worst = 0.0
-    with np.errstate(over="ignore"):  # an overflowing side is rejected below
+    # a side or a difference past the float range makes the difference +-inf or NaN
+    # (inf - inf), rejected below; the pads' NaN is zeroed first
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in _tiles(v, f.xs(), 0, 1, 1):
             # columns i <= j of some row: i <= (last diagonal) / 2
             cols = (t.k + t.lhs.size - 1) // 2 - t.i + 1
             if cols <= 0:
                 continue
             va, xa, vb, xb = t.va[:cols], t.xa[:cols], t.vb[:, :cols], t.xb[:, :cols]
-            ahead, behind = bound(va, xa, vb, xb), bound(vb, xb, va, xa)
-            pads = np.isinf(vb)  # outside the triangle, where both sides are +inf
-            ahead[pads] = behind[pads] = 0.0
-            if not (np.all(np.isfinite(ahead)) and np.all(np.isfinite(behind))):
+            gap = bound(va, xa, vb, xb) - bound(vb, xb, va, xa)
+            gap[np.isinf(vb)] = 0.0  # pads, outside the triangle, where both sides are +inf
+            hi, lo = float(gap.max()), float(gap.min())
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise GridError("symmetry residual overflows on this grid")
-            worst = max(worst, float(np.max(np.abs(ahead - behind))))
-    if not math.isfinite(worst):
-        raise GridError("symmetry residual overflows on this grid")
+            worst = max(worst, hi, -lo)
     return PowerFit(c, worst)
 
 
@@ -563,19 +583,60 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> Minor
     ``sigma <= f`` and ``residual = f - sigma >= 0`` hold without tolerance.
     ``bounded_variation`` records whether the input was non-decreasing, in
     which case the residual is a difference of two monotone functions.
+
+    The recurrence ``S[k] = min(v[k], min_{1 <= j < k} S[j] + v[k - j])`` is
+    settled in blocks of ``MINORANT_BLOCK`` consecutive indices.  A block's
+    candidates from the finished ``j`` below it form one strided tile over a
+    reversed copy of ``v`` (``_band``), reduced by row minimum in chunks of at
+    most ``PAIR_BLOCK`` pairs.  The at most ``B(B-1)/2`` candidates with ``j``
+    inside the block (``B = MINORANT_BLOCK``) are then taken in order on
+    Python floats, the same IEEE doubles.  Every candidate is the rounded sum
+    ``fl(S[j] + v[k - j])`` that a loop over one index at a time computes, and
+    ``min`` is exact, so the grouping cannot change a value.  The cost is
+    N^2/2 pairs in tiles plus about N*B/2 scalar additions; the memory is O(N)
+    plus one tile of at most ``PAIR_BLOCK`` doubles.
+
+    Signed zeros: ``sigma[k]`` keeps ``v[k]``, bits included, unless some
+    candidate is strictly smaller, so a zero ``v[k]`` keeps its sign.  A zero
+    that replaces a positive ``v[k]`` is ``+0.0``, whatever the signs of the
+    zero candidates.  So ``sigma`` does not depend on the order in which the
+    candidates are reduced, and equals the loop's bit for bit on grids without
+    ``-0.0`` (with one, the loop's sign follows ``np.min``'s order).
     """
     _require_zero_origin(f)
     _require_non_negative(f)
 
     v = f.values
+    top = v.size - 1
     sigma = v.copy()
+    rev = v[::-1].copy()  # rev[top - p] = v[p]
+    near = v[:MINORANT_BLOCK].tolist()  # the y-operands v[k - j] of the in-block candidates
+    workspace = np.empty(min(max(PAIR_BLOCK, MINORANT_BLOCK), top * MINORANT_BLOCK))  # one tile, reused
     # Values are non-negative, so a partition sum that overflows is +inf, never
     # the minimum, and a threshold v + margin that does accepts: both are ignored.
     with np.errstate(over="ignore"):
-        for k in range(2, v.size):
-            best = float(np.min(sigma[1:k] + v[k - 1:0:-1]))
-            if best < sigma[k]:
-                sigma[k] = best
+        for start in range(1, top + 1, MINORANT_BLOCK):
+            rows = min(MINORANT_BLOCK, top + 1 - start)
+            span = max(PAIR_BLOCK // rows, 1)
+            # row minima of the candidates sigma[j] + v[start + r - j] of the finished j < start
+            outer = None
+            for j in range(1, start, span):
+                cols = min(span, start - j)
+                tile = np.add(sigma[j:j + cols], _band(rev, top - start + j, rows, cols),
+                              out=workspace[:rows * cols].reshape(rows, cols))
+                mins = tile.min(axis=1)
+                outer = mins if outer is None else np.minimum(outer, mins, out=outer)
+            best = [math.inf] * rows if outer is None else outer.tolist()
+            block = sigma[start:start + rows].tolist()
+            for r in range(rows):
+                low = best[r]
+                for q in range(r):  # j = start + q
+                    t = block[q] + near[r - q]
+                    if t < low:
+                        low = t
+                if low < block[r]:
+                    block[r] = low + 0.0  # a replacing zero is +0.0
+            sigma[start:start + rows] = block
         non_decreasing = bool(np.all(tol.leq_array(v[:-1], v[1:])))
 
     residual = v - sigma

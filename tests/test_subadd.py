@@ -11,6 +11,7 @@ from funclass import subadd
 from funclass.oracle import (
     minimal_order_bruteforce,
     minorant_bruteforce,
+    minorant_recurrence,
     pair_scan_bruteforce,
 )
 from support import random_nonneg_grid, random_order_subadditive
@@ -800,6 +801,115 @@ class TestSubadditiveMinorant:
             lo = np.nextafter(f.values, -np.inf)
             hi = np.nextafter(f.values, np.inf)
             assert np.all((back >= lo) & (back <= hi))
+
+
+def minorant_grid(rng, size, kind):
+    """Non-negative values of one ``kind``, each chosen to stress the minorant's float edges."""
+    if kind == "uniform":
+        vals = rng.uniform(0.0, 3.0, size)
+    elif kind == "power":
+        vals = float(rng.uniform(0.1, 3.0)) * (np.arange(size) * 0.25) ** float(rng.uniform(0.3, 3.0))
+    elif kind == "ties":  # many equal candidates
+        vals = rng.integers(0, 4, size).astype(float)
+    elif kind == "subnormal":  # multiples of 5e-324 and other subnormals, exact sums
+        vals = rng.choice([0.0, 5e-324, 1e-323, 2.5e-323, 1e-310, 2.2e-308], size)
+    elif kind == "near-range":  # partial sums overflow to +inf
+        vals = rng.choice([0.0, 1e308, 1.7e308, 1.7976931348623157e308], size)
+        vals[rng.random(size) < 0.3] = rng.uniform(1e307, 1.7e308)
+    else:  # "signed-zero": -0.0 among zeros and ties
+        vals = rng.choice([0.0, -0.0, 1.0, 2.0], size)
+    return fc.GridFunction(0.0, 0.25, vals)
+
+
+MINORANT_KINDS = ("uniform", "power", "ties", "subnormal", "near-range")
+
+
+def minorant_sizes(rng, count):
+    """Sizes 2-300, then every size one below, at and one above a multiple of each tested block."""
+    edges = sorted({m * b + d for b in (1, 3, subadd.MINORANT_BLOCK) for m in range(1, 9)
+                    for d in (-1, 0, 1)} - {0, 1})
+    return [int(s) for s in rng.integers(2, 301, count - len(edges))] + edges
+
+
+@pytest.fixture(scope="module")
+def recurrence_cases():
+    rng = np.random.default_rng(1931)
+    cases = []
+    for i, size in enumerate(minorant_sizes(rng, 2000)):
+        f = minorant_grid(rng, size, MINORANT_KINDS[i % len(MINORANT_KINDS)])
+        cases.append((f, minorant_recurrence(f)))
+    return cases
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestBlockedMinorant:
+    """The blocked minorant against the per-sample recurrence, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 3, subadd.MINORANT_BLOCK])
+    def test_matches_the_recurrence_bit_for_bit(self, block, recurrence_cases, monkeypatch):
+        monkeypatch.setattr(subadd, "MINORANT_BLOCK", block)
+        default = subadd.PAIR_BLOCK
+        assert len(recurrence_cases) >= 2000
+        for i, (f, want) in enumerate(recurrence_cases):
+            # every 7th grid in small tiles: a block's earlier indices span several chunks
+            monkeypatch.setattr(subadd, "PAIR_BLOCK", (5, 16, 64)[i % 3] if i % 7 == 0 else default)
+            got = fc.subadditive_minorant(f).sigma.values
+            assert np.array_equal(bits(got), bits(want)), (f.values.size, f.values[:8])
+
+    def test_the_grids_reach_every_float_edge(self, recurrence_cases):
+        values = np.concatenate([f.values for f, _ in recurrence_cases])
+        assert np.any(values == 5e-324)
+        assert np.any((values > 0.0) & (values < 2.2250738585072014e-308))
+        assert np.any(values >= 1.7e308)
+        # some partition sum of a grid passes the float range
+        assert any(math.isinf(sum(sorted(f.values[1:].tolist())[-2:])) for f, _ in recurrence_cases)
+
+    def test_a_block_spans_several_full_size_tiles(self):
+        # the last blocks read 2 * PAIR_BLOCK // MINORANT_BLOCK and more earlier indices
+        rng = np.random.default_rng(1933)
+        size = 2 * subadd.PAIR_BLOCK // subadd.MINORANT_BLOCK + 3 * subadd.MINORANT_BLOCK
+        f = fc.GridFunction(0.0, 0.25, rng.uniform(0.0, 3.0, size))
+        got = fc.subadditive_minorant(f).sigma.values
+        assert np.array_equal(bits(got), bits(minorant_recurrence(f)))
+
+    def test_signed_zeros(self, monkeypatch):
+        # np.min picks a zero's sign by position, so the recurrence agrees as floats;
+        # the blocked minorant keeps v[k] unless a candidate is strictly smaller and
+        # replaces with +0.0, so its bits do not depend on the block
+        rng = np.random.default_rng(1937)
+        replaced = 0
+        for size in minorant_sizes(rng, 300):
+            f = minorant_grid(rng, size, "signed-zero")
+            v = f.values
+            runs = []
+            for block in (1, 3, subadd.MINORANT_BLOCK):
+                monkeypatch.setattr(subadd, "MINORANT_BLOCK", block)
+                runs.append(bits(fc.subadditive_minorant(f).sigma.values))
+            monkeypatch.undo()
+            assert all(np.array_equal(run, runs[0]) for run in runs)
+            sigma = runs[0].view(np.float64)
+            assert np.array_equal(sigma, minorant_recurrence(f))
+            kept = sigma == v
+            assert np.array_equal(runs[0][kept], bits(v[kept]))
+            assert not np.any(np.signbit(sigma[~kept]))
+            replaced += int(np.count_nonzero((sigma == 0.0) & ~kept))
+        assert replaced > 0
+
+    def test_prefix_has_the_prefix_minorant(self):
+        # sigma[k] depends only on v[0..k], so the minorant of a prefix is a prefix
+        rng = np.random.default_rng(1939)
+        b = subadd.MINORANT_BLOCK
+        for i in range(60):
+            f = minorant_grid(rng, int(rng.integers(4 * b, 300)), MINORANT_KINDS[i % len(MINORANT_KINDS)])
+            whole = bits(fc.subadditive_minorant(f).sigma.values)
+            for m in sorted({1 + t * b + d for t in range(1, f.values.size // b) for d in (-1, 0, 1)}):
+                if m > f.values.size:
+                    continue
+                head = fc.GridFunction(0.0, f.step, f.values[:m])
+                assert np.array_equal(bits(fc.subadditive_minorant(head).sigma.values), whole[:m])
 
 
 class TestOrderRules:
