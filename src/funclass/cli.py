@@ -5,8 +5,9 @@ Reports are byte-identical to ``json.dumps(report, indent=2, allow_nan=False)``
 with witnesses expanded to ``[w.to_dict() for w in witnesses]``, but come from
 one writer here, ``_to_json``: with ``indent``, ``json`` runs a pure-Python
 encoder that spends a generator step per value, which made it the slowest
-stage of a large report.  The writer encodes lists of one scalar type and the
-``grid.Witnesses`` columns that reports hold column by column.
+stage of a large report.  Reports hold value arrays as the handlers' numpy
+float64 columns, the same objects as the plot columns, and witnesses as
+``grid.Witnesses`` columns; the writer encodes both column by column.
 
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
@@ -120,14 +121,14 @@ def _power_fit(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Out
 
 def _minorant(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
     res = subadd.subadditive_minorant(f, tol)
+    columns = {"sigma": res.sigma.values, "residual": res.residual.values}
     out = {
         "defect": res.defect,
         "bounded_variation": res.bounded_variation,
         "sigma_subadditive": subadd.check_order(res.sigma, 1, tol).holds,
-        "sigma": res.sigma.values.tolist(),
-        "residual": res.residual.values.tolist(),
+        **columns,
     }
-    return True, out, {"sigma": res.sigma.values, "residual": res.residual.values}
+    return True, out, columns
 
 
 def _periodic_check(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
@@ -143,14 +144,14 @@ def _heights(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outco
     prof = periodic.heights(f, args.period)
     out = {
         "heights": {"global": prof.overall, "global_d": prof.global_d},
-        "window_heights": prof.window_heights.tolist(),
+        "window_heights": prof.window_heights,
     }
     return True, out, {"window_height": prof.window_heights}
 
 
 def _periodic_minorant(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
-    tilde = periodic.greatest_periodic_minorant(f, args.period)
-    return True, {"f_tilde": tilde.values.tolist()}, {"f_tilde": tilde.values}
+    tilde = periodic.greatest_periodic_minorant(f, args.period).values
+    return True, {"f_tilde": tilde}, {"f_tilde": tilde}
 
 
 def _envelope(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
@@ -163,12 +164,9 @@ def _envelope(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outc
 
 def _decompose(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
     dec = periodic.decompose(f, args.period, tol)
-    out = {
-        "decomposition": {"l": dec.l, "h_periodicity_error": dec.periodicity_error},
-        "g": dec.g.values.tolist(),
-        "h": dec.h.values.tolist(),
-    }
-    return True, out, {"g": dec.g.values, "h": dec.h.values}
+    columns = {"g": dec.g.values, "h": dec.h.values}
+    out = {"decomposition": {"l": dec.l, "h_periodicity_error": dec.periodicity_error}, **columns}
+    return True, out, columns
 
 
 def _star_centers(f: GridFunction, args: argparse.Namespace, tol: Tolerance) -> Outcome:
@@ -275,61 +273,42 @@ def _load_grid(args: argparse.Namespace) -> GridFunction:
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_SCALARS = (float, int, str, bool, type(None))
+_NO_NAN = "JSON has no inf or NaN"
+# Below this many entries, np.unique's fixed cost (about 5 us) exceeds what
+# formatting each distinct value once can save.
+_DEDUP_MIN = 256
 
 
-def _require_finite(values: Iterable[float]) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError("JSON has no inf or NaN")
-
-
-def _kind(values: Sequence) -> type | None:
-    """The one type of every item of ``values``, else None."""
-    kinds = set(map(type, values))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _column(kind: type, values: Sequence) -> Iterable[str]:
-    """Each of ``values``, all of the scalar type ``kind``, as JSON."""
-    if kind is float:
-        _require_finite(values)
-        return map(float.__repr__, values)
-    if kind is int:
-        return map(int.__repr__, values)
-    if kind is str:
-        return map(encode_basestring_ascii, values)
-    return map(_CONSTANTS.__getitem__, values)
-
-
-def _items(items: list | tuple, indent: str) -> Iterable[str]:
-    kind = _kind(items)
-    if kind in _SCALARS:
-        return _column(kind, items)
-    return (_encode(item, indent) for item in items)
+def _finite(column: np.ndarray) -> np.ndarray:
+    if not np.isfinite(column).all():
+        raise ValueError(_NO_NAN)
+    return column
 
 
 def _reprs(column: np.ndarray) -> Iterable[str]:
-    """Each entry's ``repr``, made once per distinct value where at most half are distinct.
+    """Each entry of a 1-D int64 or float64 column as ``json`` writes it: its ``repr``.
 
-    Indices and grid values repeat.  Values are told apart by their bits, so
-    -0.0 is not 0.0.
+    A column of at least ``_DEDUP_MIN`` entries, at most half of them
+    distinct, has each distinct value formatted once: indices, grid values
+    and window heights repeat.  Values are told apart by their bits, so -0.0
+    is not 0.0.
     """
-    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * distinct.size > column.size:  # mostly distinct: the lookup would cost more
-        return map(repr, column.tolist())
-    texts = list(map(repr, distinct.view(column.dtype).tolist()))
-    return map(texts.__getitem__, at.tolist())
+    if column.size >= _DEDUP_MIN:
+        distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * distinct.size <= column.size:  # else the lookup would cost more than it saves
+            texts = list(map(repr, distinct.view(column.dtype).tolist()))
+            return map(texts.__getitem__, at.tolist())
+    return map(repr, column.tolist())
 
 
 def _witness_rows(witnesses: Witnesses, indent: str) -> Iterable[str]:
     """``[w.to_dict() for w in witnesses]``'s items as ``json`` writes them, from the columns.
 
-    ``slack`` is ``lhs - rhs`` in numpy, the bits of ``Witness.slack``.
+    ``slack`` is ``lhs - rhs`` in numpy, the bits of ``Witness.slack``; it is
+    finite only where both sides are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        slack = witnesses.lhs - witnesses.rhs
-    if not all(np.isfinite(side).all() for side in (witnesses.lhs, witnesses.rhs, slack)):
-        raise ValueError("JSON has no inf or NaN")
+        slack = _finite(witnesses.lhs - witnesses.rhs)
     inner = indent + "  "
     fields = (f'{inner}"{key}": %s' for key in ("i", "j", "lhs", "rhs", "slack"))
     columns = (witnesses.i, witnesses.j, witnesses.lhs, witnesses.rhs, slack)
@@ -345,7 +324,11 @@ def _key(key: object) -> str:
 
 
 def _encode(o: object, indent: str) -> str:
-    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at ``indent``."""
+    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at ``indent``.
+
+    A 1-D float64 ndarray is written as its ``tolist()``, and a ``Witnesses``
+    as ``[w.to_dict() for w in o]``, column by column.
+    """
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or o is True or o is False:
@@ -353,30 +336,37 @@ def _encode(o: object, indent: str) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        _require_finite((o,))
+        if not math.isfinite(o):
+            raise ValueError(_NO_NAN)
         return float.__repr__(o)
     inner = indent + "  "
-    if isinstance(o, (list, tuple, Witnesses)):
-        if not o:
-            return "[]"
-        items = _witness_rows(o, inner) if isinstance(o, Witnesses) else _items(o, inner)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         pairs = (_key(k) + ": " + _encode(v, inner) for k, v in o.items())
         return "{" + inner + ("," + inner).join(pairs) + indent + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    column = isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1
+    if not (column or isinstance(o, (list, tuple, Witnesses))):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not len(o):
+        return "[]"
+    if column:
+        items = _reprs(_finite(o))
+    elif isinstance(o, Witnesses):
+        items = _witness_rows(o, inner)
+    else:
+        items = (_encode(item, inner) for item in o)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _to_json(report: dict) -> str:
     """``report`` as ``json.dumps(report, indent=2, allow_nan=False)`` writes it, byte for byte.
 
-    A ``grid.Witnesses`` is written as ``[w.to_dict() for w in witnesses]``.
-    It and a list of one scalar type (value arrays) are encoded column by
+    Value arrays (1-D float64 ndarrays) are written as their ``tolist()`` and a
+    ``grid.Witnesses`` as ``[w.to_dict() for w in witnesses]``, both column by
     column with ``map``; anything else goes through ``_encode`` value by
-    value.  A non-finite float is a ``GridError``, and an unsupported type
-    raises ``TypeError`` as in ``json``.
+    value.  A non-finite float is a ``GridError``, and an unsupported type,
+    another ndarray included, raises ``TypeError`` as in ``json``.
     """
     try:
         return _encode(report, "\n")

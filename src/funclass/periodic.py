@@ -162,9 +162,11 @@ def is_periodically_increasing(
     v = f.values
     mins = _suffix_min(v)
     starts = np.flatnonzero(~tol.leq_array(v[: -p.w], mins[p.w :]))
-    # the first index >= i + w that attains its own suffix minimum attains mins[i + w]
-    at_min = np.flatnonzero(v == mins)
-    ends = at_min[np.searchsorted(at_min, starts + p.w)]
+    ends = starts
+    if starts.size:  # partners are looked up only for a failing check
+        # the first index >= i + w that attains its own suffix minimum attains mins[i + w]
+        at_min = np.flatnonzero(v == mins)
+        ends = at_min[np.searchsorted(at_min, starts + p.w)]
     witnesses = Witnesses(starts, ends, v[starts], v[ends])
     return PeriodicCheckResult(holds=not witnesses, witnesses=witnesses)
 

@@ -559,6 +559,20 @@ def witness_columns(draw):
     return Witnesses(i, j, lhs, rhs)
 
 
+# Value arrays of 0 to 600 entries: from a small pool of bit patterns (repeats),
+# arbitrary floats (mostly distinct) or both, sometimes with one inf or NaN.
+@st.composite
+def value_arrays(draw):
+    size = draw(st.integers(0, 600))
+    pool = st.sampled_from(draw(st.lists(WITNESS_VALUES, min_size=1, max_size=6)))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    entries = draw(st.sampled_from([pool, floats, st.one_of(pool, WITNESS_VALUES)]))
+    values = draw(st.lists(entries, min_size=size, max_size=size))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, size - 1))] = draw(NON_FINITE)
+    return np.array(values, dtype=np.float64)
+
+
 def _expanded(report):
     """``report`` with each ``Witnesses`` expanded to the list of its witnesses' dicts."""
     return {key: [w.to_dict() for w in value] if isinstance(value, Witnesses) else value
@@ -609,7 +623,13 @@ class TestJsonWriter:
         {"values": [np.int64(1), np.int64(2)]},
         {"violations": [{"i": np.int64(1), "lhs": 0.5}, {"i": np.int64(2), "lhs": 0.25}]},
         {"k": {(1, 2): 0.5}},
-    ], ids=["scalar", "list", "column", "key"])
+        {"values": np.zeros((2, 2))},
+        {"values": np.array(0.5)},
+        {"values": np.arange(3)},
+        {"values": np.zeros(3, np.float32)},
+        {"values": np.zeros(0, np.int64)},
+    ], ids=["scalar", "list", "column", "key", "2-d-array", "0-d-array", "int-array",
+            "float32-array", "empty-int-array"])
     def test_unsupported_types_raise_type_error(self, obj):
         with pytest.raises(TypeError) as want:
             _dumps(obj)
@@ -624,6 +644,13 @@ class TestJsonWriter:
         assert len(report["violations"]) == 130_816
         assert _first_difference(cli._to_json(report), _dumps(_expanded(report))) is None
 
+    @given(value_arrays())
+    @example(np.array([0.0, -0.0] * 300))
+    @example(np.array([5e-324, -1.7e308, 1.7e308] * 200))
+    @settings(max_examples=300, deadline=None)
+    def test_value_arrays_as_json_dumps_writes_their_lists(self, values):
+        assert _encoded(cli._to_json, {"k": values}) == _encoded(_dumps, {"k": values.tolist()})
+
     @given(witness_columns())
     @example(Witnesses([1] * 6, [2] * 6, [0.0, -0.0] * 3, [-0.0, 0.0] * 3))
     @example(Witnesses([0, 0, 1, 1], [1, 1, 2, 2], [2.0] * 4, [math.nan, math.nan, 0.5, 0.5]))
@@ -637,12 +664,14 @@ class TestJsonWriter:
     @pytest.mark.parametrize("place", [
         lambda x: {"value": x},
         lambda x: {"values": [0.0, 1.5, x, 2.0]},
+        lambda x: {"values": np.array([0.0, 1.5, x, 2.0])},
         lambda x: {"violations": [{"i": 1, "j": 2, "lhs": 1.0, "rhs": x}] * 3},
         lambda x: {"violations": Witnesses([1] * 3, [2] * 3, [1.0] * 3, [x] * 3)},
         lambda x: {"nested": {"deeper": [{"level": x, "witness": None}]}},
         lambda x: {"tuple": (1, x)},
         lambda x: {"key": {x: 1}},
-    ], ids=["scalar", "float-list", "witness-column", "witnesses", "nested", "tuple", "key"])
+    ], ids=["scalar", "float-list", "float-array", "witness-column", "witnesses", "nested",
+            "tuple", "key"])
     def test_non_finite_values_exit_2_without_output(self, capsys, monkeypatch, bad, place):
         def handler(f, args, tol):
             return True, place(bad), {}
@@ -652,6 +681,24 @@ class TestJsonWriter:
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "funclass: error: a result overflowed to inf or NaN, which JSON cannot hold\n"
+
+
+class TestValueArrays:
+    """Handlers put their value arrays into the report as the plot columns
+    themselves, so no list is built."""
+
+    @pytest.mark.parametrize("command, keys", [
+        (["minorant"], {"sigma": "sigma", "residual": "residual"}),
+        (["heights", "--d", "1"], {"window_heights": "window_height"}),
+        (["periodic-minorant", "--d", "1"], {"f_tilde": "f_tilde"}),
+        (["decompose", "--d", "1"], {"g": "g", "h": "h"}),
+    ], ids=["minorant", "heights", "periodic-minorant", "decompose"])
+    def test_report_arrays_are_the_plot_columns(self, tmp_path, command, keys):
+        argv = [*command, "--expr", "x", "--to", "4", "--samples", "33",
+                "--plot-csv", str(tmp_path / "plot.csv")]
+        _, report, columns = cli._dispatch(cli._parser().parse_args(argv))
+        for key, column in keys.items():
+            assert report[key] is columns[column]
 
 
 class TestWitnessReports:
