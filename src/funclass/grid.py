@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +100,10 @@ class Tolerance:
 
 _ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
 MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
-# Points per array pass of an expression in sample(), and rows per write of a
-# CSV file: bounds every temporary independently of the grid size, a deep
-# expression's stack of operand arrays included.
+# Points per array pass of an expression in sample(), rows per write of a CSV
+# file, and about the lines per block read from one: bounds every temporary
+# independently of the grid size, a deep expression's stack of operand arrays
+# included.
 _CHUNK = 1 << 14
 
 
@@ -293,14 +294,18 @@ def sample(
     which gives the bits :func:`funclass.expr.evaluate` gives point by point.
     A callable is called once per point.  A table must have exactly ``count``
     entries.  Evaluation that fails or produces a non-finite value is rejected
-    with the first offending abscissa in the message.
+    with the first offending abscissa in the message, and a ``count`` whose
+    value array numpy refuses to allocate with the bytes it needs.
     """
     if count < 2:
         raise GridError(f"need at least 2 samples, got count={count}")
     if not (math.isfinite(step) and step > 0.0):
         raise GridError(f"step must be finite and > 0, got {step}")
 
-    vals = np.empty(count, dtype=np.float64)
+    try:
+        vals = np.empty(count, dtype=np.float64)
+    except (ValueError, MemoryError):  # numpy refuses the size before allocating
+        raise GridError(f"cannot hold {count} samples: {8 * count} bytes needed") from None
     if isinstance(source, str):
         from . import expr  # local import: expr depends on nothing here
 
@@ -359,61 +364,143 @@ def _write_columns(
 
     The line ``header`` comes first when one is given.
     """
-    row = ",".join(["{!r}"] * len(columns)) + "\n"
     with Path(path).open("w", encoding="utf-8") as out:
         if header is not None:
             out.write(header + "\n")
         for start in range(0, columns[0].size, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            out.write("".join(map(row.format, *(column[rows].tolist() for column in columns))))
+            cells = (map(repr, column[rows].tolist()) for column in columns)
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read_text(path: str | Path) -> str:
+    """The file decoded as UTF-8, universal newlines, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # utf-8, not utf-8-sig: offsets count the mark's bytes
         where = f"{exc.reason} at byte offset {exc.start}"
         raise GridError(f"{path}: not UTF-8 text ({where})") from None
+    return text.removeprefix("\ufeff")
+
+
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' breaks besides "\n"
 
 
 def read_csv(path: str | Path) -> GridFunction:
     """Read a two-column ``x,y`` CSV (header optional) into a GridFunction.
 
-    The x column must be strictly increasing and uniformly spaced: each x must
-    equal ``origin + k * step`` under the default :class:`Tolerance` and lie within
-    ``MAX_SPACING_DEVIATION`` steps of it.  The first offending line is reported.
+    Lines are those of ``str.splitlines``; blank lines are skipped, a line 1
+    whose cells do not parse is a header, and each cell is read by ``float``
+    after ``str.strip``.  The x column must be strictly increasing and
+    uniformly spaced: each x must equal ``origin + k * step`` under the
+    default :class:`Tolerance` and lie within ``MAX_SPACING_DEVIATION`` steps
+    of it.  The first offending line is reported.
     """
-    text = _read_text(path)
-    xs, ys, row_lines = array("d"), array("d"), array("q")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise GridError(f"line {lineno}: expected two columns, got {len(parts)}")
+    values, row_lines = _csv_rows(_read_text(path))
+    return _grid_from_rows(values[:, 0], values[:, 1], row_lines)
+
+
+def _csv_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, y)`` rows of a CSV text and their 1-based line numbers.
+
+    The text is cut into blocks of about ``_CHUNK`` lines of 32 characters,
+    each ending at a line end, and each block is parsed by :func:`_csv_block`.
+    """
+    if any(mark in text for mark in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())  # one "\n" per break: line numbers stay
+    strip = "\x1f" in text  # whitespace to str.strip(), not to float()
+    start = _header_end(text)
+    lineno = 2 if start else 1
+    blocks, lines = [np.empty((0, 2))], [np.empty(0, np.int64)]
+    while start < len(text):
+        stop = text.find("\n", start + 32 * _CHUNK)
+        stop = len(text) if stop < 0 else stop
+        values, rows, count = _csv_block(text[start:stop], lineno, strip)
+        blocks.append(values)
+        lines.append(rows)
+        start, lineno = stop + 1, lineno + count
+    return np.concatenate(blocks), np.concatenate(lines)
+
+
+def _header_end(text: str) -> int:
+    """Where the data start: past line 1 if it has two cells that do not parse."""
+    end = text.find("\n")
+    end = len(text) if end < 0 else end
+    cells = text[:end].split(",")
+    if len(cells) == 2:
         try:
-            x, y = float(parts[0]), float(parts[1])
+            float(cells[0].strip()), float(cells[1].strip())
         except ValueError:
-            if not xs and lineno == 1:
-                continue  # header row
-            raise GridError(f"line {lineno}: could not parse numbers from {line!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GridError(f"line {lineno}: non-finite entry in {line!r}")
-        xs.append(x)
-        ys.append(y)
-        row_lines.append(lineno)
+            return end + 1
+    return 0
 
-    if len(xs) < 2:
-        raise GridError(f"need at least 2 data rows, got {len(xs)}")
 
-    origin = xs[0]
-    step = xs[1] - xs[0]
+def _csv_block(block: str, first: int, strip: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``(x, y)`` rows of whole lines, their line numbers, and the line count.
+
+    The block's first line is line ``first``.  A line holding one comma is a
+    row, and a line holding none must be blank.  Commas and line ends are
+    found in the UTF-8 bytes, where neither occurs inside a multi-byte
+    character, and every cell goes through one ``float`` pass.  Only
+    comma-free lines and the error path are looked at one by one.  The first
+    bad line raises the :class:`GridError` that reading line by line raises
+    for it.
+    """
+    codes = np.frombuffer(block.encode("utf-8"), np.uint8)
+    ends = np.append(np.flatnonzero(codes == 10), codes.size)
+    commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
+    rows = np.flatnonzero(commas == 1)
+    if rows.size == ends.size:
+        cells = block.replace("\n", ",").split(",")
+        ragged = ends.size
+    else:
+        lines = block.split("\n")
+        filled = [k for k in np.flatnonzero(commas == 0).tolist() if lines[k].strip()]
+        ragged = min(filled + np.flatnonzero(commas > 1)[:1].tolist(), default=ends.size)
+        cells = ",".join(compress(lines, commas == 1)).split(",") if rows.size else []
+    if strip:
+        cells = list(map(str.strip, cells))
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:  # keep the rows before the first cell that float() rejects
+        parsed = []
+        for cell in cells:
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                break
+        values = np.array(parsed[: len(parsed) // 2 * 2], np.float64)
+    values = values.reshape(-1, 2)
+    infinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    good = int(infinite[0]) if infinite.size else len(values)  # rows before the first bad one
+    bad = min(ragged, int(rows[good]) if good < rows.size else ends.size)
+    if bad < ends.size:
+        line = block.split("\n")[bad].strip()
+        if bad == ragged:
+            message = f"expected two columns, got {commas[bad] + 1}"
+        elif infinite.size:
+            message = f"non-finite entry in {line!r}"
+        else:
+            message = f"could not parse numbers from {line!r}"
+        raise GridError(f"line {first + bad}: {message}")
+    return values, rows + first, ends.size
+
+
+def _grid_from_rows(xv: np.ndarray, yv: np.ndarray, row_lines: np.ndarray) -> GridFunction:
+    """The grid of CSV rows ``(xv[k], yv[k])`` read from lines ``row_lines[k]``.
+
+    Checks that there are two rows and that the x column is a uniform,
+    strictly increasing grid, naming the line of the first offending row.
+    """
+    if xv.size < 2:
+        raise GridError(f"need at least 2 data rows, got {xv.size}")
+
+    origin, second = float(xv[0]), float(xv[1])
+    step = second - origin
     if step <= 0.0:
         raise GridError(f"line {row_lines[1]}: x column must be strictly increasing")
     if not math.isfinite(step):
-        raise GridError(f"line {row_lines[1]}: x step {xs[1]!r} - {xs[0]!r} overflows")
-    xv = np.frombuffer(xs, dtype=np.float64)
+        raise GridError(f"line {row_lines[1]}: x step {second!r} - {origin!r} overflows")
     # Near the float range, grid abscissae and margins may overflow to inf: a
     # row whose expected x is inf is off the grid, and an inf margin accepts.
     with np.errstate(over="ignore"):
@@ -427,10 +514,10 @@ def read_csv(path: str | Path) -> GridFunction:
         if off_grid[k]:
             raise GridError(
                 f"line {row_lines[k]}: non-uniform spacing, "
-                f"x={xs[k]!r} but expected {float(expected[k])!r}"
+                f"x={float(xv[k])!r} but expected {float(expected[k])!r}"
             )
         raise GridError(f"line {row_lines[k]}: x column must be strictly increasing")
-    return GridFunction(origin, step, np.frombuffer(ys, dtype=np.float64))
+    return GridFunction(origin, step, yv)
 
 
 def write_json(f: GridFunction, path: str | Path) -> None:

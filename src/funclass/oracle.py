@@ -16,6 +16,10 @@ subadditivity-family pair scan: one ``ratio_coefficient`` and one
 scalar comparisons and one ``Tolerance.leq``, the reference for the
 vectorised periodic witnesses.
 
+``read_csv_rows`` reads a CSV file one line at a time, the reference for
+the block parser of ``grid.read_csv``: the same rows, bit for bit, and the
+same ``GridError`` text for the first bad line.
+
 ``is_center_bruteforce`` and ``region_star_check_bruteforce`` evaluate every
 chord (and every sampled segment) at every grid point it crosses: the cubic
 transcription of the definitions that the slope-visibility test in
@@ -28,11 +32,13 @@ margin at quarter scale, an exact power of two, so a chord from ``-1e308`` to
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterator, Sequence
+from pathlib import Path
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Tolerance, Witness, sample
+from .grid import GridError, GridFunction, Tolerance, Witness, _grid_from_rows, _read_text, sample
 from .periodic import PeriodSpec
 from .starconvex import RegionCheckReport, RegionKind, RegionSpec, StarWitness
 from .subadd import ratio_coefficient
@@ -46,6 +52,7 @@ __all__ = [
     "pair_scan_bruteforce",
     "periodic_check_bruteforce",
     "periodic_witnesses_bruteforce",
+    "read_csv_rows",
     "region_star_check_bruteforce",
 ]
 
@@ -94,6 +101,35 @@ def minorant_recurrence(f: GridFunction) -> np.ndarray:
             if best < sigma[k]:
                 sigma[k] = best
     return sigma
+
+
+def read_csv_rows(path: str | Path) -> GridFunction:
+    """``grid.read_csv`` one ``str.splitlines`` line at a time.
+
+    A stripped line is blank (skipped) or two comma-separated cells, each
+    stripped and read by ``float``; a line 1 whose cells do not parse is a
+    header.  The rows then go through the same grid checks as ``read_csv``.
+    """
+    xs, ys, row_lines = array("d"), array("d"), array("q")
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise GridError(f"line {lineno}: expected two columns, got {len(parts)}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            if not xs and lineno == 1:
+                continue  # header row
+            raise GridError(f"line {lineno}: could not parse numbers from {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GridError(f"line {lineno}: non-finite entry in {line!r}")
+        xs.append(x)
+        ys.append(y)
+        row_lines.append(lineno)
+    return _grid_from_rows(np.frombuffer(xs), np.frombuffer(ys), np.frombuffer(row_lines, np.int64))
 
 
 def pair_scan_bruteforce(

@@ -123,6 +123,19 @@ class TestSources:
         assert (code, out) == (2, "")
         assert "line 2: x step" in err
 
+    def test_csv_with_a_byte_order_mark_starts_at_its_first_row(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1\n1,2\n2,5\n")
+        code, out, err = invoke(capsys, ["minorant", "--csv", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sigma"] == [1.0, 2.0, 4.0]
+
+    def test_sample_count_past_the_address_space_exits_2(self, capsys):
+        argv = ["periodic-check", "--expr", "x", "--to", "1", "--samples", str(2**50), "--d", "0.5"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"funclass: error: cannot hold {2**50} samples: {2**53} bytes needed\n"
+
     def test_unknown_command_exits_2(self, capsys):
         assert invoke(capsys, ["frobnicate"])[0] == 2
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funclass as fc
+from funclass import grid
 from funclass.grid import read_csv, read_json, write_csv, write_json
+from funclass.oracle import read_csv_rows
 
 
 class TestTolerance:
@@ -206,6 +209,13 @@ class TestSample:
         with pytest.raises(fc.GridError):
             fc.sample("x", 0, 1, 1)
 
+    # both counts lie past any address space: numpy refuses them without allocating
+    @pytest.mark.parametrize("count", [2**50, 2**62])
+    def test_count_past_the_address_space_names_the_bytes(self, count):
+        message = rf"^cannot hold {count} samples: {8 * count} bytes needed$"
+        with pytest.raises(fc.GridError, match=message):
+            fc.sample("x", 0, 1.0, count)
+
     @pytest.mark.parametrize("step", [0.0, math.inf])
     def test_rejects_zero_or_infinite_step(self, step):
         with pytest.raises(fc.GridError, match=rf"^step must be finite and > 0, got {step}$"):
@@ -302,6 +312,20 @@ class TestCsv:
         path = tmp_path / "latin.csv"
         path.write_bytes(b"x,y\n0,0\n1,\xff\n")
         with pytest.raises(fc.GridError, match=r"latin\.csv: not UTF-8 text .* at byte offset 10"):
+            read_csv(path)
+
+    def test_byte_order_mark_is_not_part_of_line_1(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1\n1,2\n2,5\n")
+        f = read_csv(path)
+        assert (f.origin, f.step, f.values.tolist()) == (0.0, 1.0, [1.0, 2.0, 5.0])
+        path.write_bytes(b"\xef\xbb\xbfx,y\n0,1\n1,2\n")
+        assert read_csv(path).values.tolist() == [1.0, 2.0]
+
+    def test_byte_order_mark_keeps_decode_offsets_in_file_bytes(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa\xff")
+        with pytest.raises(fc.GridError, match=r"bom\.csv: not UTF-8 text .* at byte offset 4\)$"):
             read_csv(path)
 
     def test_overflowing_step_rejected_naming_line_2(self, tmp_path):
@@ -429,6 +453,99 @@ class TestMalformedCsv:
         assert "line 2: x step" in str(got)
 
 
+# --- read_csv against the per-line reference ---------------------------------
+# Every str.splitlines break, and lines that are blank, headers, Unicode digits,
+# underscores, ragged, non-finite or padded with whitespace that float() does
+# not strip by itself.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ODD_LINES = [
+    "", " ", "\t", "\x1f", "\xa0 ", "x,y", "a,b", "x,1", "1_0,2", "\u0661.\u0665,1", "0,1,2",
+    "1,2,", ",", "nan,1", "0, inf", " 0 , 1 ", "\x1f0,1\x1f", "0,\x1f", "1 0,2", "0x1,2",
+]
+
+
+@st.composite
+def csv_text(draw):
+    """A CSV text near a valid grid: odd lines, repeated rows, any breaks, a BOM."""
+    lines = draw(st.one_of(csv_grid_lines(), csv_grid_lines(), st.lists(csv_line(), max_size=8)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["odd", "any", "repeat"]))
+        if kind == "repeat" and lines:  # off the grid, or not increasing
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "odd":
+            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
+        else:
+            lines.insert(at, draw(csv_line()))
+    breaks = st.sampled_from(LINE_BREAKS) if draw(st.booleans()) else st.just("\n")
+    text = "".join(line + draw(breaks) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(LINE_BREAKS))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(reader, path):
+    """A grid's origin, step and value bits, or the message of the GridError."""
+    try:
+        f = reader(path)
+    except fc.GridError as exc:
+        return str(exc)
+    return repr(f.origin), repr(f.step), f.values.tobytes()
+
+
+class TestReadCsvAgainstRows:
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @given(text=csv_text())
+    @settings(max_examples=300, deadline=None)
+    def test_same_grid_or_message_across_block_boundaries(self, chunk, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(grid, "_CHUNK", chunk):
+            assert _outcome(read_csv, path) == _outcome(read_csv_rows, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff0,1\n1,2\n2,5\n",
+            "x,y\r\n0,1\r\n1,2\r\n",
+            "\n \n0,1\n\t\n1,2\n\n",
+            "x,y\n0,1\nx,y\n",
+            "\u0660,1_0\n\u0661.\u0665e0,2\n3,3\n",
+            "0,1\u20281,2\u20292,3\x854,4",
+            "0,1\n1,2\n2,3,4\n",
+            "0,1\n1,2,\n",
+            "0,1\n1,2\n2,3,",
+            "0,1\n1,inf\n2,x\n",
+            "0,1\n1,x\n2,inf\n",
+            "0,1\ninf,x\n",
+            "0,1\n1,2\nstray\n",
+            "\x1f0,1\x1f\n1,\x1f2\n",
+            "0,1\n1,2\n2.5,3\n",
+            "0,1\n1,2\n1,3\n",
+            "",
+            "x,y",
+        ],
+    )
+    def test_same_grid_or_message_on_named_cases(self, text, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        for chunk in (1, 2, grid._CHUNK):
+            with mock.patch.object(grid, "_CHUNK", chunk):
+                assert _outcome(read_csv, path) == _outcome(read_csv_rows, path), chunk
+
+    def test_large_file_in_several_blocks(self, tmp_path):
+        f = fc.GridFunction(-2.0, 1e-3, np.random.default_rng(5).normal(size=60_001))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        assert _outcome(read_csv, path) == _outcome(read_csv_rows, path)
+        text = path.read_text()
+        at = text.index("\n", len(text) // 2) + 1
+        path.write_text(text[:at] + "0,1,2\n" + text[at:])  # a ragged row in a later block
+        message = _outcome(read_csv, path)
+        assert message == _outcome(read_csv_rows, path)
+        assert message == f"line {text.count(chr(10), 0, at) + 1}: expected two columns, got 3"
+
+
 def json_value():
     scalar = st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
@@ -504,6 +621,11 @@ class TestJson:
         path = tmp_path / "f.json"
         write_json(f, path)
         assert read_json(path) == f
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'\xef\xbb\xbf{"origin": 0, "step": 1, "values": [1, 2]}')
+        assert read_json(path) == fc.GridFunction(0.0, 1.0, [1.0, 2.0])
 
     def test_dict_shape(self):
         f = fc.GridFunction(1.0, 0.5, [0.0, 2.0])
