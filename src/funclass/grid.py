@@ -531,3 +531,14 @@ def read_json(path: str | Path) -> GridFunction:
     except (ValueError, RecursionError) as exc:  # also the integer-digit limit and deep nesting
         raise GridError(f"invalid JSON: {exc}") from exc
     return GridFunction.from_dict(d)
+
+
+def _strided_rows(table: np.ndarray, start: int, step: int, rows: int, cols: int) -> np.ndarray:
+    """The view of ``table`` whose entry ``[r, c]`` is ``table[start + step * r + c]``.
+
+    No copy is made: each row runs forward in memory and starts ``step``
+    entries after the row above.  numpy checks that the view lies within
+    ``table``.
+    """
+    size = table.itemsize
+    return np.ndarray((rows, cols), table.dtype, table, start * size, (step * size, size))

@@ -19,7 +19,10 @@ pass is decided by evaluating its ordinates, as the definition reads.  A chord
 that passes only over points equal to ``v[p]`` needs no such check: its
 ordinates round to one side of ``v[p]``, so it is one-sided at any slack.
 Where a difference of two values could overflow, both tests run on the values
-and the margin at quarter scale, an exact power of two.
+and the margin at quarter scale, an exact power of two.  ``central_set`` runs
+the slope test for blocks of consecutive centers at once, over strided views
+of padded copies of ``v``, and asks ``is_center`` only about the centers whose
+chords the slopes leave undecided.
 
 ``region_star_check`` samples points of an epigraph or hypograph region (or
 of a split union of both, its side given by ``RegionKind.sides``) and joins
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Tolerance
+from .grid import GridError, GridFunction, Tolerance, _strided_rows
 
 __all__ = [
     "RegionCheckReport",
@@ -60,6 +64,12 @@ __all__ = [
 # test with this many such ulps less slack passes the ordinate test too, and
 # one that fails it with as many more fails the ordinate test.
 _BAND_ULPS = 16
+_EPS = 2.0**-52  # double-precision machine epsilon
+
+# Consecutive candidate centers that central_set decides in one block.  Each
+# block costs a fixed number of numpy calls, which four rows share; the block's
+# temporaries hold about four rows of N.
+CENTER_BLOCK = 4
 
 
 # The (left, right) sides of a center: +1 convex or epigraph, -1 concave or
@@ -111,14 +121,37 @@ class RegionKind(str, enum.Enum):
 
 _REGION_SIDES = dict(zip(RegionKind, _SIDES))
 
+# Levels a RegionSpec may place per column.  A column's ordinate check holds
+# one segment per level and crossing, so this bounds it at 32 KiB per crossing.
+MAX_VERTICAL_SAMPLES = 1 << 12
+
+
+def _integer(value: object, name: str) -> int:
+    """``value`` as an ``int``; a bool, float or other non-integer is a ``GridError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise GridError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _index(value: object, name: str, size: int) -> int:
+    """``value`` as a grid index in ``[0, size)``, else a ``GridError``."""
+    p = _integer(value, name)
+    if not 0 <= p < size:
+        raise GridError(f"{name} {p} out of range [0, {size - 1}]")
+    return p
+
 
 @dataclass(frozen=True)
 class RegionSpec:
     """A planar region derived from the graph, bounded vertically for sampling.
 
     ``vertical_extent`` pads the sampled value range above and below;
-    ``vertical_samples`` levels are placed across that padded range.  Split
-    kinds need ``split_index``; the split column belongs to both sides.
+    ``vertical_samples`` levels, an integer from 2 to ``MAX_VERTICAL_SAMPLES``,
+    are placed across that padded range.  Split kinds need ``split_index``; the
+    split column belongs to both sides.
     ``kind`` may also be given as its string value, such as ``"epi"``.
     """
 
@@ -135,12 +168,18 @@ class RegionSpec:
             raise GridError(f"unknown region kind {self.kind!r}; expected {kinds}") from None
         if self.kind.is_split and self.split_index is None:
             raise GridError(f"region kind {self.kind.value!r} requires split_index")
+        if self.split_index is not None:
+            object.__setattr__(self, "split_index", _integer(self.split_index, "split_index"))
         if not self.vertical_extent > 0.0:
             raise GridError(f"vertical_extent must be > 0, got {self.vertical_extent!r}")
         if not math.isfinite(self.vertical_extent):
             raise GridError(f"vertical_extent must be finite, got {self.vertical_extent!r}")
-        if self.vertical_samples < 2:
-            raise GridError(f"vertical_samples must be >= 2, got {self.vertical_samples!r}")
+        samples = _integer(self.vertical_samples, "vertical_samples")
+        if samples < 2:
+            raise GridError(f"vertical_samples must be >= 2, got {samples!r}")
+        if samples > MAX_VERTICAL_SAMPLES:
+            raise GridError(f"vertical_samples must be <= {MAX_VERTICAL_SAMPLES}, got {samples!r}")
+        object.__setattr__(self, "vertical_samples", samples)
 
 
 @dataclass(frozen=True)
@@ -186,6 +225,40 @@ class StarReport:
         }
 
 
+def _rounding_band(margin: float, top: float) -> float:
+    """How far slopes and chord ordinates may round apart, for ``max|v| = top``."""
+    # the ulps of 2 * max|v| + margin, taken at half scale so they stay finite
+    half = top + 0.5 * margin
+    return 2.0 * (_BAND_ULPS * _EPS * half)
+
+
+def _side_bounds(
+    rise: np.ndarray, steps: np.ndarray, slack: float, lower: np.ndarray, upper: np.ndarray
+) -> None:
+    """Slope bounds along rows of points that walk outward from their centers.
+
+    ``rise[..., k]`` is ``v[m] - v[p]`` for the row's center ``p`` and the
+    point ``m`` that lies ``steps[k] = k + 1`` grid steps from it on one side;
+    a single row may be 1-D.  Writes the largest ``(rise[..., j] - slack) /
+    steps[j]`` over ``j <= k`` into ``lower[..., k]`` and the smallest
+    ``(rise[..., j] + slack) / steps[j]`` into ``upper[..., k]``: the bounds of
+    the chord that passes over those points and ends ``k + 2`` steps from ``p``.
+    """
+    np.maximum.accumulate((rise - slack) / steps, -1, out=lower)
+    np.minimum.accumulate((rise + slack) / steps, -1, out=upper)
+
+
+def _slope_tests(
+    slope: np.ndarray, lower: np.ndarray, upper: np.ndarray, band: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per chord: does it surely fail the ordinate test, and do the slopes leave it undecided?"""
+    # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
+    # so a chord this far past both bounds fails the ordinate test
+    fails = (slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)
+    undecided = ~((slope >= lower) | (slope <= upper))  # NaN: undecided
+    return fails, undecided
+
+
 def _chord_bounds(
     v: np.ndarray, p: int, margin: float, top: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -201,20 +274,17 @@ def _chord_bounds(
     ``s <= upper[q]`` (in exact arithmetic).  With no grid point between, the
     bounds are infinite.
     """
-    # the ulps of 2 * max|v| + margin, taken at half scale so they stay finite
-    half = top + 0.5 * margin
-    band = 2.0 * (_BAND_ULPS * float(np.finfo(np.float64).eps) * half)
-    slack = margin - band
+    band = _rounding_band(margin, top)
     dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
     dist[p] = 1.0
     rise = v - v[p]
     lower = np.full(v.size, -np.inf)
     upper = np.full(v.size, np.inf)
-    # right side, then left side, each as a view walking outward from p
+    # right side, then left side, each as a one-row view walking outward from p:
+    # the points passed over, and the chord ends one step further out
     sides = [(a[p + 1:], a[:p][::-1]) for a in (rise, dist, lower, upper)]
     for r, d, lo, up in zip(*sides):
-        np.maximum.accumulate((r[:-1] - slack) / d[:-1], out=lo[1:])
-        np.minimum.accumulate((r[:-1] + slack) / d[:-1], out=up[1:])
+        _side_bounds(r[:-1], d[:-1], margin - band, lo[1:], up[1:])
     return dist, lower, upper, band
 
 
@@ -263,20 +333,17 @@ def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
     over equals ``v[p]``.
     """
     v = f.values
-    if not 0 <= p < v.size:
-        raise GridError(f"center index {p} out of range [0, {v.size - 1}]")
+    p = _index(p, "center index", v.size)
     margin = tol.grid_slack(v)
     top = float(np.abs(v).max())
     scale = _scale_for(top, margin)
-    if scale != 1.0:  # central_set calls this once per grid point: no copies when unscaled
+    if scale != 1.0:  # central_set calls this for each undecided row: no copies when unscaled
         v, margin, top = scale * v, scale * margin, scale * top
     dist, lower, upper, band = _chord_bounds(v, p, margin, top)
-    slope = (v - v[p]) / dist
-    # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
-    # so a chord this far past both bounds fails the ordinate test
-    if np.any((slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)):
+    fails, undecided = _slope_tests((v - v[p]) / dist, lower, upper, band)
+    if fails.any():
         return False
-    undecided = np.flatnonzero(~((slope >= lower) | (slope <= upper)))  # NaN: undecided
+    undecided = np.flatnonzero(undecided)
     if undecided.size:
         # Over a stretch where v equals v[p] exactly, the chord ordinates
         # v[p] + rise * t round to one side of v[p], so any slack >= 0 holds.
@@ -290,9 +357,65 @@ def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
 
 
 def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
-    """All centers with their curvature classes (O(N^2) time, O(N) memory)."""
-    centers = tuple(p for p in range(f.values.size) if is_center(f, p, tol))
-    classes = {p: classify_shape(f, p, tol) for p in centers}
+    """All centers with their curvature classes (O(N^2) time, O(N) memory).
+
+    Candidate centers are taken in blocks of ``CENTER_BLOCK`` consecutive
+    indices.  Each side of a block is one strided view: row ``r`` holds the
+    values outward from center ``p0 + r``, read from a copy of ``v`` padded
+    with ``+inf`` on the right and from a reversed padded copy on the left,
+    cropped to the block's reach.  Every chord goes through ``is_center``'s
+    float operations (``_side_bounds``, ``_slope_tests``), and max and min are
+    exact, so every bound keeps its bits; a ``+inf`` pad always passes the
+    slope test and never surely fails.  A row with a sure fail is not a
+    center, and a row with no undecided chord is one.  The rest, near ties and
+    flat stretches, are decided by ``is_center`` itself.
+    """
+    v = f.values
+    n = v.size
+    margin = tol.grid_slack(v)
+    top = float(np.abs(v).max())
+    scale = _scale_for(top, margin)
+    if scale != 1.0:
+        v, margin, top = scale * v, scale * margin, scale * top
+    band = _rounding_band(margin, top)
+    slack = margin - band
+    rows = CENTER_BLOCK
+    pads = np.full(rows - 1, np.inf)  # the rows past a side's end read these
+    right = np.concatenate((v, pads))  # right[q] = v[q]
+    left = np.concatenate((v[::-1], pads))  # left[n - 1 - q] = v[q]
+    steps = np.arange(1.0, n)
+    # rise to the points passed, lower, upper and the chords' slopes, reused by every block
+    work = np.empty((4, rows * (n - 1)))
+    centers = []
+    for p0 in range(0, n, rows):
+        b = min(rows, n - p0)
+        fails = np.zeros(b, dtype=bool)
+        undecided = np.zeros(b, dtype=bool)
+        # Row r's point k + 1 steps out is right[p0 + r + 1 + k] = v[p0 + r + 1 + k]
+        # and left[n - p0 - r + k] = v[p0 + r - 1 - k].  Only chords ending 2 or
+        # more steps out pass over a grid point.  The longer side goes first: once
+        # every row has a sure fail, the other side cannot change a verdict.
+        sides = sorted(((right, p0 + 1, 1, n - 1 - p0), (left, n - p0, -1, p0 + b - 1)),
+                       key=lambda side: side[3], reverse=True)
+        center = v[p0:p0 + b, None]
+        for table, start, step, reach in sides:
+            cols = reach - 1
+            if cols <= 0 or fails.all():
+                continue
+            rise, lower, upper, slope = (w[:b * cols].reshape(b, cols) for w in work)
+            np.subtract(_strided_rows(table, start, step, b, cols), center, out=rise)
+            _side_bounds(rise, steps[:cols], slack, lower, upper)
+            np.subtract(_strided_rows(table, start + 1, step, b, cols), center, out=slope)
+            np.divide(slope, steps[1:reach], out=slope)
+            sure, open_ = _slope_tests(slope, lower, upper, band)
+            fails |= sure.any(axis=1)
+            undecided |= open_.any(axis=1)
+        centers += [
+            p0 + r for r in range(b)
+            if not fails[r] and (not undecided[r] or is_center(f, p0 + r, tol))
+        ]
+    centers = tuple(centers)
+    classes = dict(zip(centers, _shape_classes(f, centers, tol)))
     return StarReport(
         centers=centers, per_center_class=classes, is_star_convex=bool(centers)
     )
@@ -304,17 +427,32 @@ def classify_shape(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> Sha
     A side with fewer than three points constrains nothing, so it counts as
     both convex and concave and the other side decides alone.
     """
+    return _shape_classes(f, (_index(p, "split index", f.values.size),), tol)[0]
+
+
+def _shape_classes(f: GridFunction, points: tuple[int, ...], tol: Tolerance) -> list[ShapeClass]:
+    """``classify_shape`` at each of ``points``, from one pass over the grid.
+
+    The left side of ``p`` holds the second differences at interior indices
+    1 .. p-1, the right side those at p+1 .. N-1.  A side has a sign iff none
+    of its second differences lies on the wrong side, so the first and the
+    last wrong one per sign decide every point.
+    """
     v = f.values
-    if not 0 <= p < v.size:
-        raise GridError(f"split index {p} out of range [0, {v.size - 1}]")
-    margin = tol.grid_slack(f.values)
+    margin = tol.grid_slack(v)
     scale = _scale_for(float(np.max(np.abs(v))))  # |second difference| <= 4 max|v|
     d2 = scale * v[2:] - 2.0 * scale * v[1:-1] + scale * v[:-2]  # at interior index i+1
-    sides = (d2[: max(p - 1, 0)], d2[p:])  # interior indices 1 .. p-1 and p+1 .. N-1
-    for shape, signs in zip(ShapeClass, _SIDES):
-        if all(np.all(_on_side(d, 0.0, sign, scale * margin)) for d, sign in zip(sides, signs)):
-            return shape
-    return ShapeClass.MIXED
+    wrong = {sign: np.flatnonzero(~_on_side(d2, 0.0, sign, scale * margin)) for sign in (1, -1)}
+    first = {sign: int(w[0]) if w.size else d2.size for sign, w in wrong.items()}
+    last = {sign: int(w[-1]) if w.size else -1 for sign, w in wrong.items()}
+    return [
+        next(
+            (shape for shape, (left, right) in zip(ShapeClass, _SIDES)
+             if max(p - 1, 0) <= first[left] and last[right] < p),
+            ShapeClass.MIXED,
+        )
+        for p in points
+    ]
 
 
 def region_star_check(
@@ -333,8 +471,7 @@ def region_star_check(
     """
     v = f.values
     size = v.size
-    if not 0 <= center_p < size:
-        raise GridError(f"center index {center_p} out of range [0, {size - 1}]")
+    center_p = _index(center_p, "center index", size)
     if region.kind.is_split and region.split_index != center_p:
         raise GridError(f"split_index {region.split_index} must equal the center {center_p}")
     if region.split_index is not None and not 0 <= region.split_index < size:

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Tolerance, Witnesses
+from .grid import GridError, GridFunction, Tolerance, Witnesses, _strided_rows
 
 __all__ = [
     "MinorantResult",
@@ -222,25 +222,14 @@ def _tiles(v: np.ndarray, x: np.ndarray, m: int, first: int, second: int) -> Ite
         span = PAIR_BLOCK // rows
         for i in range(i0, i0 + width, span):
             cols = min(span, i0 + width - i)
+            # row r reads the reversed copies from one entry before row r - 1:
+            # the y-operands of consecutive anti-diagonals k + r
             start = top + m - k + i
             yield _Tile(
                 k, i, v[k + m:k + m + rows], v[i:i + cols], x[i:i + cols],
-                _band(vr, start, rows, cols), _band(xr, start, rows, cols),
+                _strided_rows(vr, start, -1, rows, cols), _strided_rows(xr, start, -1, rows, cols),
             )
         k += rows
-
-
-def _band(rev: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray:
-    """The view of ``rev`` whose entry ``[r, c]`` is ``rev[start - r + c]``, without a copy.
-
-    Each row runs forward in memory and starts one entry before the row above.
-    Over a reversed copy of ``v``, row ``r`` reads ``v`` backwards from one
-    entry further on than row ``r - 1`` does: the y-operands ``v[k + r - j]``
-    of consecutive anti-diagonals ``k + r``.  numpy checks that the view lies
-    within ``rev``.
-    """
-    size = rev.itemsize
-    return np.ndarray((rows, cols), rev.dtype, rev, start * size, (-size, size))
 
 
 def _order_bound(n: int) -> PairBound:
@@ -587,10 +576,10 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> Minor
     The recurrence ``S[k] = min(v[k], min_{1 <= j < k} S[j] + v[k - j])`` is
     settled in blocks of ``MINORANT_BLOCK`` consecutive indices.  A block's
     candidates from the finished ``j`` below it form one strided tile over a
-    reversed copy of ``v`` (``_band``), reduced by row minimum in chunks of at
-    most ``PAIR_BLOCK`` pairs.  The at most ``B(B-1)/2`` candidates with ``j``
-    inside the block (``B = MINORANT_BLOCK``) are then taken in order on
-    Python floats, the same IEEE doubles.  Every candidate is the rounded sum
+    reversed copy of ``v`` (``grid._strided_rows``), reduced by row minimum in
+    chunks of at most ``PAIR_BLOCK`` pairs.  The at most ``B(B-1)/2``
+    candidates with ``j`` inside the block (``B = MINORANT_BLOCK``) are then
+    taken in order on Python floats, the same IEEE doubles.  Every candidate is the rounded sum
     ``fl(S[j] + v[k - j])`` that a loop over one index at a time computes, and
     ``min`` is exact, so the grouping cannot change a value.  The cost is
     N^2/2 pairs in tiles plus about N*B/2 scalar additions; the memory is O(N)
@@ -622,8 +611,8 @@ def subadditive_minorant(f: GridFunction, tol: Tolerance = Tolerance()) -> Minor
             outer = None
             for j in range(1, start, span):
                 cols = min(span, start - j)
-                tile = np.add(sigma[j:j + cols], _band(rev, top - start + j, rows, cols),
-                              out=workspace[:rows * cols].reshape(rows, cols))
+                band = _strided_rows(rev, top - start + j, -1, rows, cols)
+                tile = np.add(sigma[j:j + cols], band, out=workspace[:rows * cols].reshape(rows, cols))
                 mins = tile.min(axis=1)
                 outer = mins if outer is None else np.minimum(outer, mins, out=outer)
             best = [math.inf] * rows if outer is None else outer.tolist()

@@ -152,6 +152,13 @@ class TestSources:
         assert (code, out) == (2, "")
         assert err == "funclass: error: vertical_extent must be finite, got inf\n"
 
+    def test_vertical_samples_past_the_cap_exits_2(self, capsys):
+        argv = ["star-region", "--expr", "x", "--to", "1", "--samples", "5", "--kind", "epi",
+                "--p", "1", "--vertical-samples", "1000000000"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "funclass: error: vertical_samples must be <= 4096, got 1000000000\n"
+
 
 class TestToleranceConfig:
     def test_env_override(self, capsys, monkeypatch):

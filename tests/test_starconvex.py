@@ -58,6 +58,14 @@ class TestIsCenter:
         with pytest.raises(fc.GridError):
             fc.is_center(square, -1)
 
+    @pytest.mark.parametrize("p", [3.0, True, "3", None], ids=repr)
+    def test_non_integer_index_rejected(self, square, p):
+        with pytest.raises(fc.GridError, match=r"^center index must be an integer, got "):
+            fc.is_center(square, p)
+
+    def test_numpy_integer_index_accepted(self, square):
+        assert fc.is_center(square, np.int64(3)) is fc.is_center(square, 3)
+
 
 class TestCentralSet:
     def test_square_all_indices(self, square):
@@ -126,6 +134,11 @@ class TestClassifyShape:
     def test_out_of_range_index(self, square):
         with pytest.raises(fc.GridError, match=r"^split index 9 out of range \[0, 8\]$"):
             fc.classify_shape(square, 9)
+
+    @pytest.mark.parametrize("p", [4.0, True], ids=repr)
+    def test_non_integer_index_rejected(self, square, p):
+        with pytest.raises(fc.GridError, match=r"^split index must be an integer, got "):
+            fc.classify_shape(square, p)
 
     def test_matches_the_four_branch_rule(self):
         rng = np.random.default_rng(97)
@@ -256,6 +269,37 @@ class TestRegionStarCheck:
     def test_out_of_range_split_index(self, square):
         with pytest.raises(fc.GridError, match=r"^split index 99 out of range$"):
             fc.region_star_check(square, RegionSpec("epi", split_index=99), 4)
+
+    @pytest.mark.parametrize("p", [4.0, False], ids=repr)
+    def test_non_integer_center_rejected(self, square, p):
+        with pytest.raises(fc.GridError, match=r"^center index must be an integer, got "):
+            fc.region_star_check(square, RegionSpec(RegionKind.EPI), p)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"vertical_samples": 2.5}, r"^vertical_samples must be an integer, got 2\.5$"),
+        ({"vertical_samples": True}, r"^vertical_samples must be an integer, got True$"),
+        ({"vertical_samples": "64"}, r"^vertical_samples must be an integer, got '64'$"),
+        # rejected before np.linspace could ask for 8 GB
+        ({"vertical_samples": 10**9}, r"^vertical_samples must be <= 4096, got 1000000000$"),
+        ({"vertical_samples": starconvex.MAX_VERTICAL_SAMPLES + 1}, r"^vertical_samples must be <= 4096, got 4097$"),
+        ({"split_index": 4.0}, r"^split_index must be an integer, got 4\.0$"),
+        ({"split_index": True}, r"^split_index must be an integer, got True$"),
+    ], ids=repr)
+    def test_hostile_spec_rejected(self, options, message):
+        with pytest.raises(fc.GridError, match=message):
+            RegionSpec(RegionKind.EPI, **options)
+
+    def test_numpy_integers_are_stored_as_int(self, square):
+        spec = RegionSpec(RegionKind.SPLIT_EPI_HYPO, np.int64(4), 1.0, np.int32(8))
+        assert (type(spec.split_index), type(spec.vertical_samples)) == (int, int)
+        assert spec == RegionSpec(RegionKind.SPLIT_EPI_HYPO, 4, 1.0, 8)
+        assert fc.region_star_check(square, spec, 4) == fc.region_star_check(
+            square, RegionSpec(RegionKind.SPLIT_EPI_HYPO, 4, 1.0, 8), 4
+        )
+
+    def test_largest_vertical_samples_accepted(self, square):
+        spec = RegionSpec(RegionKind.EPI, vertical_samples=starconvex.MAX_VERTICAL_SAMPLES)
+        assert fc.region_star_check(square, spec, 4).ok
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(fc.GridError, match="unknown region kind 'bogus'"):
@@ -491,3 +535,80 @@ class TestAgainstBruteforce:
                     )
                     got = fc.region_star_check(f, spec, p, tol)
                     assert got == region_star_check_bruteforce(f, spec, p, tol), (f, spec, p)
+
+
+def blocked_grids():
+    """Grids of 2 to 300 samples over the shapes the blocked central set meets."""
+    rng = np.random.default_rng(2201)
+    grids = []
+    for n in (2, 3, 5, 8, 13, 40, 97, 300):
+        x = np.linspace(-1.0, 1.0, n)
+        k = np.arange(n)
+        for values in (
+            np.cumsum(rng.normal(size=n)),  # random walk
+            x**2 + 0.1 * x,  # convex
+            -np.exp(x),  # concave
+            x**3 - 0.3 * x,  # concave left, convex right: mixed centers
+            np.maximum(np.abs(x) - 0.5, 0.0),  # a flat stretch between convex sides
+            np.floor(3.0 * x),  # flat steps
+            np.where(np.abs(k - 2 * n // 3) < 2, 1.5, 1.0),  # plateau plus bump
+            rng.integers(-3, 4, n).astype(float),  # integer ties
+            1.7e308 * np.sin(3.0 * x),  # differences past the float range: quarter scale
+        ):
+            grids.append(fc.GridFunction(-1.0, 2.0 / (n - 1), values))
+    return grids
+
+
+BLOCKED_TOLERANCES = [fc.Tolerance(), fc.Tolerance(0.0, 0.0)]
+
+
+class TestBlockedCentralSet:
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        """Record the rows central_set hands to is_center; return them and the real test."""
+        calls = []
+        is_center = starconvex.is_center
+
+        def counted(f, p, tol=fc.Tolerance()):
+            calls.append(p)
+            return is_center(f, p, tol)
+
+        monkeypatch.setattr(starconvex, "is_center", counted)
+        return calls, is_center
+
+    # blocks of 1, 3 and 7 centers leave ragged last blocks and crop both reaches;
+    # None keeps the module's block
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    def test_matches_every_center_test(self, monkeypatch, rows):
+        calls, is_center = self._count_fallbacks(monkeypatch)
+        if rows is not None:
+            monkeypatch.setattr(starconvex, "CENTER_BLOCK", rows)
+        fallbacks = 0
+        for f in blocked_grids():
+            n = f.values.size
+            for tol in BLOCKED_TOLERANCES:
+                want = tuple(p for p in range(n) if is_center(f, p, tol))
+                if n <= 40:
+                    with np.errstate(all="ignore"):
+                        assert want == tuple(p for p in range(n) if is_center_bruteforce(f, p, tol)), f
+                calls.clear()
+                rep = fc.central_set(f, tol)
+                assert rep.centers == want, (f, tol)
+                assert rep.per_center_class == {p: fc.classify_shape(f, p, tol) for p in want}
+                assert set(calls) <= set(range(n))
+                assert len(calls) == len(set(calls)), "a center was tested twice"
+                fallbacks += len(calls)
+        # near ties and flat stretches at zero tolerance reach is_center
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("rows", [3, None])
+    def test_curved_grids_are_decided_by_slopes_alone(self, monkeypatch, rows):
+        # every chord of these grids clears its slope bound by far more than the
+        # rounding band, padded rows included, so no row calls is_center
+        calls, _ = self._count_fallbacks(monkeypatch)
+        if rows is not None:
+            monkeypatch.setattr(starconvex, "CENTER_BLOCK", rows)
+        x = np.linspace(-1.0, 1.0, 129)
+        for values in (x**2, -np.cosh(x), np.sin(3.0 * x), x**3 - x):
+            fc.central_set(fc.GridFunction(-1.0, 2.0 / 128, values))
+        assert calls == []
