@@ -7,7 +7,11 @@ one writer here, ``_to_json``: with ``indent``, ``json`` runs a pure-Python
 encoder that spends a generator step per value, which made it the slowest
 stage of a large report.  Reports hold value arrays as the handlers' numpy
 float64 columns, the same objects as the plot columns, and witnesses as
-``grid.Witnesses`` columns; the writer encodes both column by column.
+``grid.Witnesses`` columns; the writer encodes both column by column.  It
+appends the text's fragments to one list and joins it once, witness rows
+a block at a time, and formats a long column once per distinct value when
+at most 3/4 of a float column's entries, or half of an int column's, are
+distinct (see ``_reprs``).
 
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
@@ -29,10 +33,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -277,6 +282,10 @@ _NO_NAN = "JSON has no inf or NaN"
 # Below this many entries, np.unique's fixed cost (about 5 us) exceeds what
 # formatting each distinct value once can save.
 _DEDUP_MIN = 256
+# Witness rows per join in _witness_rows, and column entries per tolist() in
+# _blockwise: a block's strings are joined and freed before the next block's
+# are made.
+_ROW_BLOCK = 16_384
 
 
 def _finite(column: np.ndarray) -> np.ndarray:
@@ -285,50 +294,70 @@ def _finite(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _reprs(column: np.ndarray) -> Iterable[str]:
+def _reprs(column: np.ndarray) -> Iterator[str]:
     """Each entry of a 1-D int64 or float64 column as ``json`` writes it: its ``repr``.
 
-    A column of at least ``_DEDUP_MIN`` entries, at most half of them
-    distinct, has each distinct value formatted once: indices, grid values
-    and window heights repeat.  Values are told apart by their bits, so -0.0
-    is not 0.0.
+    A column of at least ``_DEDUP_MIN`` entries has each distinct value
+    formatted once, and looked up per entry, when at most 3/4 of a float64
+    column's entries are distinct, or at most half of an int64 column's.
+    The cuts come from the costs per entry: a 17-digit float ``repr`` takes
+    about 380 ns, a small int's about 60 ns, and a lookup about 25 ns, so
+    formatting once pays up to about 9/10 distinct for floats and 6/10 for
+    ints.  The weak bound's mirrored pairs ``(i, j)``/``(j, i)`` share their
+    ``rhs`` and ``slack`` bits: 65,536 distinct values in 130,816.  Values
+    are told apart by their bits, so -0.0 is not 0.0.
     """
     if column.size >= _DEDUP_MIN:
         distinct, at = np.unique(column.view(np.int64), return_inverse=True)
-        if 2 * distinct.size <= column.size:  # else the lookup would cost more than it saves
+        if distinct.size <= (0.75 if column.dtype == np.float64 else 0.5) * column.size:
             texts = list(map(repr, distinct.view(column.dtype).tolist()))
-            return map(texts.__getitem__, at.tolist())
-    return map(repr, column.tolist())
+            return _blockwise(texts.__getitem__, at)
+    return _blockwise(repr, column)
 
 
-def _witness_rows(witnesses: Witnesses, indent: str) -> Iterable[str]:
-    """``[w.to_dict() for w in witnesses]``'s items as ``json`` writes them, from the columns.
+def _blockwise(fn: Callable[[object], str], column: np.ndarray) -> Iterator[str]:
+    """``map(fn, column.tolist())``, converting ``_ROW_BLOCK`` entries at a time."""
+    if column.size <= _ROW_BLOCK:
+        return map(fn, column.tolist())
+    blocks = range(0, column.size, _ROW_BLOCK)
+    return itertools.chain.from_iterable(
+        map(fn, column[k:k + _ROW_BLOCK].tolist()) for k in blocks)
 
-    ``slack`` is ``lhs - rhs`` in numpy, the bits of ``Witness.slack``; it is
-    finite only where both sides are.
+
+def _witness_rows(witnesses: Witnesses, indent: str, out: list[str]) -> None:
+    """Append ``[w.to_dict() for w in witnesses]``'s items at ``indent``, as ``json`` writes them.
+
+    The items come out joined by ``"," + indent``, from the columns: each
+    block of ``_ROW_BLOCK`` rows is one list of ten strings per row, a key's
+    text before each of the five values, with the column ``repr``s assigned
+    by slice between the keys, and is joined once.  ``slack`` is
+    ``lhs - rhs`` in numpy, the bits of ``Witness.slack``; it is finite only
+    where both sides are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         slack = _finite(witnesses.lhs - witnesses.rhs)
     inner = indent + "  "
-    fields = (f'{inner}"{key}": %s' for key in ("i", "j", "lhs", "rhs", "slack"))
-    columns = (witnesses.i, witnesses.j, witnesses.lhs, witnesses.rhs, slack)
-    return map(("{" + ",".join(fields) + indent + "}").__mod__, zip(*map(_reprs, columns)))
+    columns = [_reprs(column) for column in (witnesses.i, witnesses.j, witnesses.lhs,
+                                             witnesses.rhs, slack)]
+    sep = "," + inner
+    opener = "{" + inner + '"i": '
+    # i's key text also closes the row before; the list's first row has just the opener
+    row = [indent + "}," + indent + opener, None, sep + '"j": ', None, sep + '"lhs": ', None,
+           sep + '"rhs": ', None, sep + '"slack": ', None]
+    size = len(witnesses)
+    for start in range(0, size, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, size - start)
+        block = row * rows
+        for k, column in enumerate(columns):
+            block[2 * k + 1::10] = itertools.islice(column, rows)
+        if not start:
+            block[0] = opener
+        out.append("".join(block))
+    out.append(indent + "}")
 
 
-def _key(key: object) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return '"' + _encode(key, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _encode(o: object, indent: str) -> str:
-    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at ``indent``.
-
-    A 1-D float64 ndarray is written as its ``tolist()``, and a ``Witnesses``
-    as ``[w.to_dict() for w in o]``, column by column.
-    """
+def _scalar(o: object) -> str | None:
+    """``o`` as ``json`` writes it when it is a str, None, bool, int or float, else None."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or o is True or o is False:
@@ -339,24 +368,59 @@ def _encode(o: object, indent: str) -> str:
         if not math.isfinite(o):
             raise ValueError(_NO_NAN)
         return float.__repr__(o)
+    return None
+
+
+def _key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + _scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(o: object, indent: str, out: list[str]) -> None:
+    """Append ``o`` to ``out`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at ``indent``.
+
+    A 1-D float64 ndarray is written as its ``tolist()``, and a ``Witnesses``
+    as ``[w.to_dict() for w in o]``, column by column.  Containers append
+    their brackets and separators around their items' fragments, so no text
+    is copied on its way up.
+    """
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+        return
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(o, dict):
         if not o:
-            return "{}"
-        pairs = (_key(k) + ": " + _encode(v, inner) for k, v in o.items())
-        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+            out.append("{}")
+            return
+        out.append("{" + inner)
+        for k, v in o.items():
+            out.append(_key(k) + ": ")
+            _encode(v, inner, out)
+            out.append(sep)
+        out[-1] = indent + "}"  # the last separator
+        return
     column = isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1
     if not (column or isinstance(o, (list, tuple, Witnesses))):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not len(o):
-        return "[]"
+        out.append("[]")
+        return
+    out.append("[" + inner)
     if column:
-        items = _reprs(_finite(o))
+        out.append(sep.join(_reprs(_finite(o))))
     elif isinstance(o, Witnesses):
-        items = _witness_rows(o, inner)
+        _witness_rows(o, inner, out)
     else:
-        items = (_encode(item, inner) for item in o)
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+        for item in o:
+            _encode(item, inner, out)
+            out.append(sep)
+        out.pop()  # the last separator
+    out.append(indent + "]")
 
 
 def _to_json(report: dict) -> str:
@@ -364,14 +428,17 @@ def _to_json(report: dict) -> str:
 
     Value arrays (1-D float64 ndarrays) are written as their ``tolist()`` and a
     ``grid.Witnesses`` as ``[w.to_dict() for w in witnesses]``, both column by
-    column with ``map``; anything else goes through ``_encode`` value by
-    value.  A non-finite float is a ``GridError``, and an unsupported type,
-    another ndarray included, raises ``TypeError`` as in ``json``.
+    column; anything else goes through ``_encode`` value by value.  Every
+    fragment goes into one list, joined once.  A non-finite float is a
+    ``GridError``, and an unsupported type, another ndarray included, raises
+    ``TypeError`` as in ``json``.
     """
+    out: list[str] = []
     try:
-        return _encode(report, "\n")
+        _encode(report, "\n", out)
     except ValueError:  # JSON has no inf or NaN
         raise GridError("a result overflowed to inf or NaN, which JSON cannot hold") from None
+    return "".join(out)
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[int, dict, Columns]:

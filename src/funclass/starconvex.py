@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -144,11 +145,25 @@ def _index(value: object, name: str, size: int) -> int:
     return p
 
 
+def _real(value: object, name: str) -> float:
+    """``value`` as a ``float``; a bool or other non-real value is a ``GridError``.
+
+    A real past the float range, such as ``10**400``, becomes an infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise GridError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """A planar region derived from the graph, bounded vertically for sampling.
 
-    ``vertical_extent`` pads the sampled value range above and below;
+    ``vertical_extent``, a positive finite real kept as a float, pads the
+    sampled value range above and below;
     ``vertical_samples`` levels, an integer from 2 to ``MAX_VERTICAL_SAMPLES``,
     are placed across that padded range.  Split kinds need ``split_index``; the
     split column belongs to both sides.
@@ -170,10 +185,12 @@ class RegionSpec:
             raise GridError(f"region kind {self.kind.value!r} requires split_index")
         if self.split_index is not None:
             object.__setattr__(self, "split_index", _integer(self.split_index, "split_index"))
-        if not self.vertical_extent > 0.0:
+        extent = _real(self.vertical_extent, "vertical_extent")
+        if not extent > 0.0:
             raise GridError(f"vertical_extent must be > 0, got {self.vertical_extent!r}")
-        if not math.isfinite(self.vertical_extent):
+        if not math.isfinite(extent):
             raise GridError(f"vertical_extent must be finite, got {self.vertical_extent!r}")
+        object.__setattr__(self, "vertical_extent", extent)
         samples = _integer(self.vertical_samples, "vertical_samples")
         if samples < 2:
             raise GridError(f"vertical_samples must be >= 2, got {samples!r}")

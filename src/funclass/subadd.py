@@ -76,8 +76,10 @@ PAIR_BLOCK = 1 << 15  # pairs per tile; bounds every pair-scan temporary indepen
 # numpy (2.4) runs a 2-D add with rows of at most 2730, a third of its 8192-element buffer,
 # through that buffer at about 1.5x the cost per pair, so 12 (2730) or 16 is slower at large N
 MINORANT_BLOCK = 8
-# rhs(va, xa, vb, xb) over one tile: the x-operand row (v[i], x[i]) and the y-operands (v[j], x[j])
-PairBound = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# rhs(va, xa, vb, xb, out, spare) over one tile: the x-operand row (v[i], x[i]) and the
+# y-operands (v[j], x[j]); the bound is written to out, and spare, of out's shape, is
+# scratch (both are fresh arrays when omitted)
+PairBound = Callable[..., np.ndarray]
 _NO_WITNESSES = Witnesses((), (), (), ())
 _EPS = 2.0**-52  # double-precision machine epsilon; the unit roundoff is eps / 2
 _SLACK = 16  # ulps a ratio may exceed the running minimum by and still certify
@@ -232,6 +234,25 @@ def _tiles(v: np.ndarray, x: np.ndarray, m: int, first: int, second: int) -> Ite
         k += rows
 
 
+class _TileBuffers:
+    """``count`` float64 buffers of ``PAIR_BLOCK`` entries, reused by every tile of one scan.
+
+    A tile's temporaries are 256 KiB each.  Allocated fresh per tile, they sit
+    at the top of the C heap, and whether ``free`` hands that memory back to
+    the system, to be faulted in again by the next tile, depends on the heap's
+    layout when the process started, not on the scan: a passing order-1 scan
+    at N = 1024 then took about 345 minor page faults and 40% longer.
+    """
+
+    def __init__(self, count: int) -> None:
+        self._flat = np.empty((count, PAIR_BLOCK))
+
+    def __call__(self, shape: tuple[int, int]) -> list[np.ndarray]:
+        """Each buffer's first ``rows * cols`` entries as a C-contiguous array of ``shape``."""
+        size = shape[0] * shape[1]
+        return [buffer[:size].reshape(shape) for buffer in self._flat]
+
+
 def _order_bound(n: int) -> PairBound:
     """The order-``n`` right-hand side ``va + r(xa, xb, n) * vb`` over one tile.
 
@@ -243,12 +264,13 @@ def _order_bound(n: int) -> PairBound:
     """
     coefficients = [float(math.comb(n, i)) for i in range(n - 1, -1, -1)]
 
-    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray,
+            out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
         if n == 1:  # the coefficient is exactly 1, and 1.0 * vb == vb
-            return va + vb
+            return np.add(va, vb, out=out)
         with np.errstate(invalid="ignore"):
-            u = np.divide(xa, xb)
-            acc = np.multiply(u, coefficients[0])
+            u = np.divide(xa, xb, out=spare)
+            acc = np.multiply(u, coefficients[0], out=out)
             acc += coefficients[1]
             for c in coefficients[2:]:
                 acc *= u
@@ -264,10 +286,11 @@ def _weak_bound(n: int) -> PairBound:
     """The weak right-hand side ``max(va + q vb, q va + vb)``, ``q = 2^n - 1``, over one tile."""
     q = float(2**n - 1)
 
-    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        ahead = np.multiply(vb, q)
+    def rhs(va: np.ndarray, xa: np.ndarray, vb: np.ndarray, xb: np.ndarray,
+            out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
+        ahead = np.multiply(vb, q, out=out)
         ahead += va
-        return np.maximum(ahead, q * va + vb, out=ahead)
+        return np.maximum(ahead, np.add(q * va, vb, out=spare), out=ahead)
 
     return rhs
 
@@ -370,9 +393,10 @@ def _scan(
     """
     v = f.values
     failing: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    buffers = _TileBuffers(2)
     with np.errstate(over="ignore"):
         for t in _tiles(v, f.xs(), m, first, max(first, 1)):
-            bound = rhs(t.va, t.xa, t.vb, t.xb)
+            bound = rhs(t.va, t.xa, t.vb, t.xb, *buffers(t.vb.shape))
             rows = np.flatnonzero(~tol.leq_array(t.lhs, bound.min(axis=1)))
             if rows.size:
                 r, c = np.nonzero(~tol.leq_array(t.lhs[rows, None], bound[rows]))
@@ -432,10 +456,12 @@ def minimal_order(
     _require_non_negative(f)
     certified = next((k for k in range(1, n_max + 1) if _certified(f, k, tol, 0)), None)
     n = 1
+    buffers = _TileBuffers(2)
     with np.errstate(over="ignore"):  # an overflowing bound is +inf, as in _scan
         for t in _tiles(f.values, f.xs(), 0, 0, 1):
+            out, spare = buffers(t.vb.shape)
             while n < n_max and n != certified and not np.all(
-                tol.leq_array(t.lhs, _order_bound(n)(t.va, t.xa, t.vb, t.xb).min(axis=1))
+                tol.leq_array(t.lhs, _order_bound(n)(t.va, t.xa, t.vb, t.xb, out, spare).min(axis=1))
             ):
                 n += 1
             if n == certified:
@@ -545,6 +571,7 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
         raise GridError("power fit coefficient overflows on this grid")
 
     bound = _order_bound(n)
+    buffers = _TileBuffers(3)
     worst = 0.0
     # a side or a difference past the float range makes the difference +-inf or NaN
     # (inf - inf), rejected below; the pads' NaN is zeroed first
@@ -555,7 +582,9 @@ def fit_power(f: GridFunction, n: int) -> PowerFit:
             if cols <= 0:
                 continue
             va, xa, vb, xb = t.va[:cols], t.xa[:cols], t.vb[:, :cols], t.xb[:, :cols]
-            gap = bound(va, xa, vb, xb) - bound(vb, xb, va, xa)
+            ahead, spare, behind = buffers(vb.shape)
+            gap = np.subtract(bound(va, xa, vb, xb, ahead, spare),
+                              bound(vb, xb, va, xa, behind, spare), out=ahead)
             gap[np.isinf(vb)] = 0.0  # pads, outside the triangle, where both sides are +inf
             hi, lo = float(gap.max()), float(gap.min())
             if not (math.isfinite(hi) and math.isfinite(lo)):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -662,7 +663,80 @@ class TestJsonWriter:
         f = sample("1.3*x^2.5", 0.0, 8.0 / 512, 513)
         report = subadd.check_order(f, 2).to_dict()
         assert len(report["violations"]) == 130_816
-        assert _first_difference(cli._to_json(report), _dumps(_expanded(report))) is None
+        tracemalloc.start()
+        try:
+            text = cli._to_json(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the finished text and the fragments it is joined from, not copies per nesting level
+        assert peak < 2.5 * len(text)
+        assert _first_difference(text, _dumps(_expanded(report))) is None
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_witness_row_blocks_of_any_size(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        pool = np.array([0.0, -0.0, 1.5, 5e-324, 1.7e308, -2.25])
+        for size in [*range(151), 300]:  # 300 rows: formatted once per distinct value
+            i, j = rng.integers(0, 9, (2, size))
+            lhs, rhs = rng.choice(pool, (2, size))
+            report = {"holds": False, "violations": Witnesses(i, j, lhs, rhs), "n": 2}
+            assert cli._to_json(report) == _dumps(_expanded(report)), size
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("size", [1, 64, 150])
+    def test_nan_in_the_last_row_block_exits_2_without_output(
+            self, capsys, monkeypatch, block, size):
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+        rhs = np.full(size, 0.5)
+        rhs[-1] = math.nan
+        witnesses = Witnesses(np.arange(size), np.arange(size), np.ones(size), rhs)
+        command = COMMANDS["star-classify"]._replace(
+            handler=lambda f, args, tol: (False, {"violations": witnesses}, {}))
+        monkeypatch.setitem(COMMANDS, "star-classify", command)
+        argv = ["star-classify", "--expr", "x", "--to", "1", "--samples", "5", "--p", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "funclass: error: a result overflowed to inf or NaN, which JSON cannot hold\n"
+
+    @pytest.mark.parametrize("distinct, shared", [(192, True), (193, False)],
+                             ids=["3/4-distinct", "one-past-3/4"])
+    def test_float_columns_at_the_dedup_cut(self, distinct, shared):
+        # 256 entries: 0.0 and -0.0 among the distinct values, then repeats of them
+        values = np.concatenate([[0.0, -0.0], np.linspace(1.0, 2.0, distinct - 2)])
+        values = np.concatenate([values, np.resize(values, 256 - distinct)])
+        assert np.unique(values.view(np.int64)).size == distinct
+        texts = list(cli._reprs(values))
+        assert (texts[0] is texts[distinct]) is shared  # one string per distinct value
+        assert cli._to_json({"k": values}) == _dumps({"k": values.tolist()})
+        ints = np.arange(256) % 200
+        witnesses = Witnesses(ints, ints[::-1], values, values[::-1])
+        report = {"violations": witnesses}
+        assert cli._to_json(report) == _dumps(_expanded(report))
+
+    @pytest.mark.parametrize("distinct, shared", [(128, True), (129, False)],
+                             ids=["half-distinct", "one-past-half"])
+    def test_int_columns_at_the_dedup_cut(self, distinct, shared):
+        ints = np.concatenate([np.arange(distinct), np.arange(256 - distinct)]) * 1000
+        texts = list(cli._reprs(ints))
+        assert (texts[1] is texts[distinct + 1]) is shared
+        witnesses = Witnesses(ints, ints, np.full(256, 0.5), np.full(256, -0.0))
+        report = {"violations": witnesses}
+        assert cli._to_json(report) == _dumps(_expanded(report))
+
+    def test_mirrored_weak_bound_columns_are_formatted_once_per_value(self):
+        # the pairs (i, j) and (j, i) share rhs and slack: 1024 values in 2016, past half
+        f = sample("1.3*x^2.5", 0.0, 8.0 / 64, 65)
+        report = subadd.check_weak_bound(f, 1).to_dict()
+        witnesses = report["violations"]
+        assert (len(witnesses), np.unique(witnesses.rhs.view(np.int64)).size) == (2016, 1024)
+        assert (witnesses.i[1], witnesses.j[1]) == (1, 2)
+        mirror = np.flatnonzero((witnesses.i == 2) & (witnesses.j == 1))[0]
+        for column in (witnesses.rhs, witnesses.lhs - witnesses.rhs):
+            texts = list(cli._reprs(column))
+            assert texts[1] is texts[mirror]
+        assert cli._to_json(report) == _dumps(_expanded(report))
 
     @given(value_arrays())
     @example(np.array([0.0, -0.0] * 300))

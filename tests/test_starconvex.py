@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,10 +285,27 @@ class TestRegionStarCheck:
         ({"vertical_samples": starconvex.MAX_VERTICAL_SAMPLES + 1}, r"^vertical_samples must be <= 4096, got 4097$"),
         ({"split_index": 4.0}, r"^split_index must be an integer, got 4\.0$"),
         ({"split_index": True}, r"^split_index must be an integer, got True$"),
+        ({"vertical_extent": "1"}, r"^vertical_extent must be a real number, got '1'$"),
+        ({"vertical_extent": None}, r"^vertical_extent must be a real number, got None$"),
+        ({"vertical_extent": True}, r"^vertical_extent must be a real number, got True$"),
+        ({"vertical_extent": np.True_}, r"^vertical_extent must be a real number, got "),
+        ({"vertical_extent": 1j}, r"^vertical_extent must be a real number, got 1j$"),
+        # too large for a float: not an OverflowError from math.isfinite
+        pytest.param({"vertical_extent": 10**400}, r"^vertical_extent must be finite, got 10{400}$",
+                     id="vertical_extent=10**400"),
     ], ids=repr)
     def test_hostile_spec_rejected(self, options, message):
         with pytest.raises(fc.GridError, match=message):
             RegionSpec(RegionKind.EPI, **options)
+
+    @pytest.mark.parametrize("extent", [2, np.int64(2), np.float32(2.0), Fraction(2)], ids=repr)
+    def test_real_vertical_extents_are_stored_as_float(self, square, extent):
+        spec = RegionSpec(RegionKind.EPI, vertical_extent=extent)
+        assert type(spec.vertical_extent) is float
+        assert spec == RegionSpec(RegionKind.EPI, vertical_extent=2.0)
+        assert fc.region_star_check(square, spec, 4) == fc.region_star_check(
+            square, RegionSpec(RegionKind.EPI, vertical_extent=2.0), 4
+        )
 
     def test_numpy_integers_are_stored_as_int(self, square):
         spec = RegionSpec(RegionKind.SPLIT_EPI_HYPO, np.int64(4), 1.0, np.int32(8))
