@@ -11,7 +11,7 @@ float64 columns, the same objects as the plot columns, and witnesses as
 appends the text's fragments to one list and joins it once, witness rows
 a block at a time, and formats a long column once per distinct value when
 at most 3/4 of a float column's entries, or half of an int column's, are
-distinct (see ``_reprs``).
+distinct, and long float columns with ``grid.repr_bytes`` (see ``_reprs``).
 
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
@@ -46,7 +46,7 @@ import numpy as np
 from . import periodic, starconvex, subadd
 from .expr import EvalError, ParseError
 from .grid import (
-    GridError, GridFunction, Tolerance, Witnesses, _write_columns, read_csv, sample,
+    GridError, GridFunction, Tolerance, Witnesses, _write_columns, read_csv, repr_bytes, sample,
 )
 
 __all__ = ["build_parser", "main", "run"]
@@ -278,19 +278,28 @@ def _load_grid(args: argparse.Namespace) -> GridFunction:
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_NO_NAN = "JSON has no inf or NaN"
 # Below this many entries, np.unique's fixed cost (about 5 us) exceeds what
 # formatting each distinct value once can save.
 _DEDUP_MIN = 256
+# At or above this many entries, a float64 column's texts come from
+# grid.repr_bytes, below it from repr per entry: repr_bytes has a fixed cost
+# of about 120 us a call, and measured on 17-digit values it breaks even with
+# repr near 300 entries; on values of a few digits, whose repr is cheaper,
+# only near 1,500.
+_REPR_MIN = 1024
 # Witness rows per join in _witness_rows, and column entries per tolist() in
 # _blockwise: a block's strings are joined and freed before the next block's
 # are made.
 _ROW_BLOCK = 16_384
 
 
+class _NotFinite(Exception):
+    """A float of the report is inf or NaN, which JSON cannot hold."""
+
+
 def _finite(column: np.ndarray) -> np.ndarray:
     if not np.isfinite(column).all():
-        raise ValueError(_NO_NAN)
+        raise _NotFinite
     return column
 
 
@@ -301,18 +310,50 @@ def _reprs(column: np.ndarray) -> Iterator[str]:
     formatted once, and looked up per entry, when at most 3/4 of a float64
     column's entries are distinct, or at most half of an int64 column's.
     The cuts come from the costs per entry: a 17-digit float ``repr`` takes
-    about 380 ns, a small int's about 60 ns, and a lookup about 25 ns, so
-    formatting once pays up to about 9/10 distinct for floats and 6/10 for
-    ints.  The weak bound's mirrored pairs ``(i, j)``/``(j, i)`` share their
-    ``rhs`` and ``slack`` bits: 65,536 distinct values in 130,816.  Values
-    are told apart by their bits, so -0.0 is not 0.0.
+    about 380 ns, a small int's about 60 ns, and a lookup about 25 ns.  The
+    weak bound's mirrored pairs ``(i, j)``/``(j, i)`` share their ``rhs`` and
+    ``slack`` bits: 65,536 distinct values in 130,816.  Values are told apart
+    by their bits, so -0.0 is not 0.0.  The sort that counts them runs only
+    when a sample of the column (see ``_has_repeats``) holds a repeat.
+    Float64 texts, of the column or of its distinct values, come from
+    ``grid.repr_bytes`` at ``_REPR_MIN`` entries or more.
     """
-    if column.size >= _DEDUP_MIN:
+    if column.size >= _DEDUP_MIN and _has_repeats(column):
         distinct, at = np.unique(column.view(np.int64), return_inverse=True)
         if distinct.size <= (0.75 if column.dtype == np.float64 else 0.5) * column.size:
-            texts = list(map(repr, distinct.view(column.dtype).tolist()))
-            return _blockwise(texts.__getitem__, at)
+            return _blockwise(_texts(distinct.view(column.dtype)).__getitem__, at)
+    if column.dtype == np.float64 and column.size >= _REPR_MIN:
+        return iter(_texts(column))
     return _blockwise(repr, column)
+
+
+def _has_repeats(column: np.ndarray) -> bool:
+    """Whether a sample of about ``16 * sqrt(n)`` entries repeats a bit pattern.
+
+    A column of at most 3/4 distinct entries has at least ``n/4`` entries
+    that repeat another's bits.  A sample of ``m`` entries at random places
+    then holds about ``m**2 / (4 n) = 64`` repeated pairs, so a sample
+    without one says that a sort would find the column all but distinct.
+    The places come from a fixed seed: a strided sample misses every pair of
+    a mirrored column whose members lie an odd number of strides apart.
+    Short columns are their own sample.  A wrong answer costs only time,
+    never a byte.
+    """
+    size = 16 * math.isqrt(column.size)
+    if size < column.size:
+        places = np.sort(np.random.default_rng(0).integers(0, column.size, size))
+        column = column[places[np.append(places[1:] != places[:-1], True)]]  # each place once
+    sample = np.sort(column.view(np.int64))
+    return bool((sample[1:] == sample[:-1]).any())
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The ``repr`` of each entry of a 1-D int64 or float64 array, as a list."""
+    if values.dtype == np.float64 and values.size >= _REPR_MIN:
+        texts = repr_bytes(values).decode("ascii").split("\n")
+        texts.pop()  # after the last separator
+        return texts
+    return list(map(repr, values.tolist()))
 
 
 def _blockwise(fn: Callable[[object], str], column: np.ndarray) -> Iterator[str]:
@@ -366,7 +407,7 @@ def _scalar(o: object) -> str | None:
         return int.__repr__(o)
     if isinstance(o, float):
         if not math.isfinite(o):
-            raise ValueError(_NO_NAN)
+            raise _NotFinite
         return float.__repr__(o)
     return None
 
@@ -436,7 +477,7 @@ def _to_json(report: dict) -> str:
     out: list[str] = []
     try:
         _encode(report, "\n", out)
-    except ValueError:  # JSON has no inf or NaN
+    except _NotFinite:
         raise GridError("a result overflowed to inf or NaN, which JSON cannot hold") from None
     return "".join(out)
 

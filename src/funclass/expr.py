@@ -31,10 +31,19 @@ import numpy as np
 __all__ = ["EvalError", "Expr", "ParseError", "evaluate", "evaluate_array", "parse", "to_text"]
 
 
-def _elementwise(fn, arity: int):
-    """Array form of a ``math`` function: ``fn`` itself on every element."""
-    ufunc = np.frompyfunc(fn, arity, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=np.float64)
+def _elementwise(fn):
+    """Array form of a ``math`` function: ``fn`` itself on every element.
+
+    The operands are broadcast together and read as Python floats, and the
+    results are collected by ``np.fromiter``; the first element at which
+    ``fn`` raises raises.
+    """
+    def array_fn(*args):
+        operands = np.broadcast_arrays(*args)
+        shape = operands[0].shape
+        columns = [operand.ravel().tolist() for operand in operands]
+        return np.fromiter(map(fn, *columns), np.float64, operands[0].size).reshape(shape)
+    return array_fn
 
 
 def _divide(a, b):
@@ -58,20 +67,20 @@ _BINARY = {  # op -> (scalar, array)
     "-": (operator.sub, operator.sub),
     "*": (operator.mul, operator.mul),
     "/": (operator.truediv, _divide),
-    "^": (math.pow, _elementwise(math.pow, 2)),
+    "^": (math.pow, _elementwise(math.pow)),
 }
 _FUNCTIONS = {  # name -> (arity, scalar, array)
-    "sin": (1, math.sin, _elementwise(math.sin, 1)),
-    "cos": (1, math.cos, _elementwise(math.cos, 1)),
-    "exp": (1, math.exp, _elementwise(math.exp, 1)),
-    "log": (1, math.log, _elementwise(math.log, 1)),
+    "sin": (1, math.sin, _elementwise(math.sin)),
+    "cos": (1, math.cos, _elementwise(math.cos)),
+    "exp": (1, math.exp, _elementwise(math.exp)),
+    "log": (1, math.log, _elementwise(math.log)),
     "sqrt": (1, math.sqrt, _sqrt),
     "abs": (1, abs, np.abs),
     # Python's min and max return the first argument unless the second is
     # strictly smaller or larger, which decides NaN and signed zeros
     "min": (2, min, lambda a, b: np.where(b < a, b, a)),
     "max": (2, max, lambda a, b: np.where(b > a, b, a)),
-    "pow": (2, math.pow, _elementwise(math.pow, 2)),
+    "pow": (2, math.pow, _elementwise(math.pow)),
 }
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 

@@ -11,12 +11,14 @@ star-convexity and the power-fit verdict use the one-sided, grid-wide slack
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,10 +102,9 @@ class Tolerance:
 
 _ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
 MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
-# Points per array pass of an expression in sample(), rows per write of a CSV
-# file, and about the lines per block read from one: bounds every temporary
-# independently of the grid size, a deep expression's stack of operand arrays
-# included.
+# Points per array pass of an expression in sample(), and about the lines per
+# block read from a CSV file: bounds every temporary independently of the grid
+# size, a deep expression's stack of operand arrays included.
 _CHUNK = 1 << 14
 
 
@@ -353,24 +354,272 @@ def _sample_points(
 
 
 def write_csv(f: GridFunction, path: str | Path) -> None:
-    """Write rows ``x,y`` with shortest round-trip float formatting."""
+    """Write rows ``x,y``, each float as its ``repr`` (see :func:`repr_bytes`)."""
     _write_columns(path, (f.xs(), f.values))
 
 
 def _write_columns(
     path: str | Path, columns: Sequence[np.ndarray], header: str | None = None
 ) -> None:
-    """Write equal-length float columns as rows of ``repr``s, ``_CHUNK`` rows per write.
+    """Write equal-length float64 columns as rows of ``repr``s, ``_REPR_BLOCK`` rows per write.
 
-    The line ``header`` comes first when one is given.
+    The line ``header`` comes first when one is given.  Cells are separated
+    by ``,`` and rows end in ``\n``; the blocks come from :func:`_repr_rows`.
     """
     with Path(path).open("w", encoding="utf-8") as out:
         if header is not None:
             out.write(header + "\n")
-        for start in range(0, columns[0].size, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            cells = (map(repr, column[rows].tolist()) for column in columns)
-            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for block in _repr_rows(columns, b"," * (len(columns) - 1) + b"\n"):
+            out.write(block.decode("ascii"))
+
+
+# --- repr bytes of float64 columns ---------------------------------------------
+
+_REPR_BLOCK = 8192  # entries per pass of repr_bytes: 64 KiB per float64 temporary
+_REPR_WORDS = 6  # uint64 words per record: 48 bytes
+_REPR_SEP = 45  # the separator's byte in a record
+_REPR_MARGIN = 1e-9  # a rounding or interval test this close to its boundary falls back
+_REPR_RANGE = (1e-280, 1e280)  # |x| the scaling covers; see repr_bytes
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW_MIN, _POW_MAX = -300, 300  # the tabled powers of ten
+_EXP_MAX = 300  # the tabled exponent texts e-300 .. e+300
+# Entries of the word table: 4-digit groups, then (sign, head, first digit), then exponents
+_WORD_HEAD = 10_000
+_WORD_EXP = _WORD_HEAD + 100 + _EXP_MAX
+_WORD_NO_EXP = _WORD_EXP + _EXP_MAX + 1
+
+
+class _ReprTables(NamedTuple):
+    hi: np.ndarray  # fl(10^s) for s = _POW_MIN .. _POW_MAX
+    lo: np.ndarray  # fl(10^s - hi)
+    hi_upper: np.ndarray  # hi's Veltkamp split: hi_upper + hi_lower = hi, 26 bits each
+    hi_lower: np.ndarray
+    words: np.ndarray  # uint64 record words, as bytes, by the _WORD_* layout
+    last: np.ndarray  # [g * 10000 + v]: the place of the last nonzero digit if group g+1 holds v
+    keep: np.ndarray  # [w, k]: word w of the mask that keeps digits 1..k and every non-digit byte
+    dot: np.ndarray  # [w, p]: word w of the record with "." after digit p, 0 for none
+
+
+@functools.cache
+def _repr_tables() -> _ReprTables:
+    """The tables of :func:`repr_bytes`, built on first use: about 150 KB."""
+    hi, lo = [], []
+    for s in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi.append(num / den)  # int / int division rounds correctly
+        m, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - m * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * _SPLIT
+    upper = c - (c - hi)
+    v = np.arange(10_000)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], 1)
+    groups = np.zeros((10_000, 8), np.uint8)
+    groups[:, ::2] = ord("0") + digits  # each digit with a zero byte after it
+    heads = [(sign + head).ljust(6, b"\0") + bytes((ord("0") + top, 0))
+             for sign in (b"", b"-") for head in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+             for top in range(10)]
+    exponents = [(b"e%+03d" % e).ljust(8, b"\0") for e in range(-_EXP_MAX, _EXP_MAX + 1)]
+    words = groups.tobytes() + b"".join(heads + exponents) + bytes(8)
+    used = 4 - (v % 10 == 0) - (v % 100 == 0) - (v % 1000 == 0)  # digits up to the last nonzero one
+    last = np.concatenate([np.where(v > 0, used + first, first == 1) for first in (1, 5, 9, 13)])
+    keep = [b"\xff" * 8 + b"".join(b"\xff\0" if digit <= k else bytes(2) for digit in range(2, 18))
+            + b"\xff" * 8 for k in range(18)]
+    dot = [bytes(5 + 2 * p) + b"." + bytes(42 - 2 * p) if p else bytes(48) for p in range(17)]
+    tables = _ReprTables(
+        hi, lo, upper, hi - upper, np.frombuffer(words, np.uint64), last.astype(np.int8),
+        np.frombuffer(b"".join(keep), np.uint64).reshape(-1, _REPR_WORDS).T.copy(),
+        np.frombuffer(b"".join(dot), np.uint64).reshape(-1, _REPR_WORDS).T.copy())
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def repr_bytes(column: np.ndarray, sep: bytes = b"\n") -> bytes:
+    """The ASCII ``repr`` of each entry of a float64 column, each followed by ``sep``.
+
+    Byte for byte ``b"".join(repr(v).encode() + sep for v in column.tolist())``
+    for a one-byte ``sep``, computed ``_REPR_BLOCK`` entries at a time by
+    :func:`_repr_records` in whole-array float and int64 passes.  Entries the
+    argument below does not cover are formatted by ``repr`` itself.
+
+    ``repr`` writes the shortest decimal that reads back as ``x``, and of
+    those the nearest to ``x`` (David Gay's shortest mode, as in Ryu: Adams,
+    PLDI 2018).  For ``a = |x| = m * 2**(e-53)``, ``2**52 <= m < 2**53``, the
+    neighbours of ``a`` lie ``2**(e-53)`` away, so a decimal ``v`` reads back
+    as ``a`` iff ``|v - a| < 2**(e-54)``, or ``=`` when ``m`` is even.
+
+    * ``E = floor(log10 a)`` comes from ``floor((e - 1) log10 2)``, taken as
+      ``(e - 1) * 78913 >> 18``, plus one where ``a >= fl(10**(E + 1))``.
+    * ``y = a * 10**s``, ``s = 16 - E``, is a double-double ``hi + lo``: the
+      power is tabled as ``P_hi + P_lo``, correctly rounded from the exact
+      value, with ``P_hi`` split in advance; a Veltkamp split (``2**27 + 1``)
+      of ``a`` makes ``a * P_hi`` exact as ``p + err`` (Dekker, Numer. Math.
+      18, 1971); ``a * P_lo``, the table's rounding and the sum add errors of
+      about ``2**-105 * y``, so ``hi + lo`` is within about 5e-15 of ``y``
+      while ``y < 1e17``.
+    * ``D = int64(hi) + rint(lo)`` is the integer nearest ``y`` once ``hi`` is
+      an integer, as every double from ``2**53`` on is, and
+      ``f = lo - rint(lo)`` is ``y - D``.  ``E`` is moved by one, and ``y``
+      recomputed, where ``D`` falls outside ``[1e16, 1e17)``; an entry still
+      outside falls back.  ``D`` then has 17 digits, those ``repr`` writes
+      when no shorter decimal reads back; ``y`` may lie just below ``1e16``.
+    * The half-spacing scales to ``h = ldexp(10**s, e - 54)``, taken as
+      ``P_hi * 2**(e-54)``.  From ``2**(e-1) <= a < 2**e``,
+      ``y * 2**-54 < h <= y * 2**-53``: ``h`` lies in ``(0.555, 11.1]``.
+    * Scaled, the decimals that read back are those in ``(y - h, y + h)``.
+      Where that holds ``1e16`` or ``1e17``, the power is the shortest of
+      them and the multiple of 100 nearest ``y``.  Elsewhere each of them
+      with at most 17 significant digits is an integer, and with ``17 - k``
+      a multiple of ``10**k``.  So at ``k = 1`` only the multiple of 10
+      nearest ``y`` can be ``repr``'s, and at every ``k >= 2`` only the
+      multiple of 100 nearest ``y`` can, since the interval is narrower than
+      100; that multiple's trailing zeros give the rest of ``k``.  The 17 digits are
+      those of the multiple of 100 when it is within ``h``, else those of the
+      multiple of 10 when it is, else ``D``; ``1e17`` is written as ``1e16``
+      with ``E + 1``.
+    * The text is ``repr``'s layout of the digits with their trailing zeros
+      dropped and ``decpt = E + 1``: exponent form iff ``decpt <= -4`` or
+      ``decpt > 16``, with at least two exponent digits and no ``.`` after a
+      one-digit mantissa; fixed form otherwise, ``0.`` and ``-decpt`` zeros
+      before the digits when ``decpt <= 0``, and ``.0`` after an integral value.
+
+    Entries that fall back to ``repr``, and why:
+
+    * zeros, subnormals and ``|x|`` outside ``_REPR_RANGE``: zero has no
+      ``E``, subnormals fewer than 53 bits, and beyond about 1e-284 and
+      1.3e300 the split of the tabled power or of ``a`` overflows and the
+      power's ``lo`` part loses bits; inf and NaN fail the range test too;
+    * exact powers of two (``m = 2**52``): the neighbour below lies half as
+      far away, so the interval is not symmetric;
+    * a rounding or interval test within ``_REPR_MARGIN`` of its boundary,
+      far above the 5e-15 error: ``|f|`` near 1/2 (which way ``D`` rounds),
+      ``y`` near halfway between two multiples of 10 (``repr`` takes the
+      even digit), and a distance to the nearest multiple of 10 or 100 near
+      ``h`` (whether the boundary reads back depends on ``m``'s parity).
+    """
+    return b"".join(_repr_rows([np.asarray(column, dtype=np.float64)], sep))
+
+
+def _repr_rows(columns: Sequence[np.ndarray], seps: bytes) -> Iterator[bytes]:
+    """Blocks of ``_REPR_BLOCK`` rows: in each row, each column's ``repr`` and its byte of ``seps``.
+
+    A block is one array of rows, each row the columns' records from
+    :func:`_repr_records` with their separator bytes set, so one
+    ``bytes.translate`` drops every pad byte of the block.  The array is
+    allocated once and reused by every block.
+    """
+    size = columns[0].size
+    rows = np.empty((min(size, _REPR_BLOCK), len(columns), _REPR_WORDS), np.uint64)
+    for start in range(0, size, _REPR_BLOCK):
+        block = rows[:min(size - start, _REPR_BLOCK)]
+        for k, column in enumerate(columns):
+            _repr_records(column[start:start + _REPR_BLOCK], block[:, k])
+        block.view(np.uint8)[:, :, _REPR_SEP] = np.frombuffer(seps, np.uint8)
+        yield block.tobytes().translate(None, b"\0")
+
+
+def _repr_records(values: np.ndarray, out: np.ndarray) -> None:
+    """Write one 48-byte record per entry into the rows of ``out``, ``(n, 6)`` uint64.
+
+    A record is the entry's ``repr`` padded with zero bytes, and its words
+    are built one at a time, so no temporary holds more than ``n`` of them.
+
+    Word 0 holds the sign, the ``0.000`` head of fixed-form values below 1,
+    the first digit and its dot slot; words 1 to 4 the other 16 digits, each
+    followed by its dot slot; word 5 the exponent text (5 bytes), the
+    separator byte ``_REPR_SEP`` (left 0) and two pad bytes.  Digits past
+    those ``repr`` writes are masked to 0, and the ``.`` goes into one dot
+    slot.  An entry that falls back has ``repr``'s text at the start of its
+    record.  See :func:`repr_bytes` for the argument.
+    """
+    t = _repr_tables()
+    n = values.size
+    a = np.abs(values)
+    fast = (a >= _REPR_RANGE[0]) & (a <= _REPR_RANGE[1])
+    fast &= (values.view(np.int64) & ((1 << 52) - 1)) != 0  # not a power of two
+    a = np.where(fast, a, 1.5)  # a stand-in keeps the passes below finite
+    e = (a.view(np.int64) >> 52) - 1022  # a in [2^(e-1), 2^e)
+    E = (e - 1) * 78913 >> 18  # floor((e - 1) log10 2)
+    E += a >= t.hi[E + 1 - _POW_MIN]
+    D, f, scale = _scaled(a, E, t)
+    shift = (D >= 10**17).astype(np.int64) - (D < 10**16)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        E[moved] += shift[moved]
+        D[moved], f[moved], scale[moved] = _scaled(a[moved], E[moved], t)
+        fast[moved] &= (D[moved] >= 10**16) & (D[moved] < 10**17)
+    h = scale * ((e + (1023 - 54)) << 52).view(np.float64)  # 10^s * 2^(e-54)
+    D100 = D // 100 * 100
+    r100 = (D - D100) + f  # y - D100, in [-0.5, 99.5]
+    up100 = r100 > 50
+    dist100 = np.abs(r100 - 100 * up100)
+    D10 = D // 10 * 10
+    r10 = (D - D10) + f
+    up10 = r10 > 5
+    dist10 = np.abs(r10 - 10 * up10)
+    fast &= np.abs(f) < 0.5 - _REPR_MARGIN
+    fast &= np.abs(r10 - 5) > _REPR_MARGIN
+    fast &= np.abs(dist10 - h) > _REPR_MARGIN
+    fast &= np.abs(dist100 - h) > _REPR_MARGIN
+    # the 17 digits: the multiple of 100 nearest y if it reads back, else that of 10, else D
+    N = np.where(dist100 < h, D100 + 100 * up100, np.where(dist10 < h, D10 + 10 * up10, D))
+    over = N == 10**17  # written as 1e16 with E + 1
+    N[over] = 10**16
+    decpt = E + 1 + over
+
+    # the digits as four groups of 4 after the first, looked up as words
+    idx = np.empty((_REPR_WORDS, n), np.int64)
+    upper = N // 10**8
+    lower = N - upper * 10**8
+    top = upper // 10**8
+    upper -= top * 10**8
+    idx[1] = upper // 10**4
+    idx[2] = upper - idx[1] * 10**4
+    idx[3] = lower // 10**4
+    idx[4] = lower - idx[3] * 10**4
+    digits = np.maximum(np.maximum(t.last[idx[1]], t.last[idx[2] + 10_000]),  # up to the last
+                        np.maximum(t.last[idx[3] + 20_000], t.last[idx[4] + 30_000]))  # nonzero
+    fixed = (decpt > -4) & (decpt <= 16)
+    whole = fixed & (decpt >= 1)
+    head = np.where(fixed & (decpt <= 0), 1 - decpt, 0)
+    idx[0] = (np.signbit(values) * 5 + head) * 10 + top + _WORD_HEAD
+    idx[5] = np.where(fixed, _WORD_NO_EXP, decpt - 1 + _WORD_EXP)
+    # fixed form keeps the zeros up to one past the point; "." follows digit `dot`, if any
+    keep = np.where(whole, np.maximum(digits, decpt + 1), digits)
+    dot = np.where(whole, decpt, np.where(fixed, 0, digits > 1))
+    for k, column in enumerate(idx):
+        word = t.words[column]
+        word &= t.keep[k, keep]
+        word |= t.dot[k, dot]
+        out[:, k] = word
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # repr once per distinct bit pattern: a column of zeros is common
+        distinct, at = np.unique(values[slow].view(np.int64), return_inverse=True)
+        texts = [repr(v).encode() for v in distinct.view(np.float64).tolist()]
+        padded = np.array(texts, f"S{8 * _REPR_WORDS}").view(np.uint64)
+        out[slow] = padded.reshape(-1, _REPR_WORDS)[at]
+
+
+def _scaled(a: np.ndarray, E: np.ndarray, t: _ReprTables) -> tuple[np.ndarray, ...]:
+    """For ``y = a * 10**(16 - E)``: the integer ``D`` nearest ``y``, ``y - D``, and ``fl(10**(16 - E))``.
+
+    ``y`` is the double-double ``hi + lo``; ``D`` is right where ``hi`` is an
+    integer, as it is from ``2**53`` on.
+    """
+    k = 16 - E - _POW_MIN
+    scale, scale_upper, scale_lower = t.hi[k], t.hi_upper[k], t.hi_lower[k]
+    c = a * _SPLIT
+    upper = c - (c - a)
+    lower = a - upper
+    p = a * scale
+    lo = ((upper * scale_upper - p) + upper * scale_lower + lower * scale_upper
+          + lower * scale_lower) + a * t.lo[k]
+    hi = p + lo
+    lo -= hi - p
+    near = np.rint(lo)
+    return hi.astype(np.int64) + near.astype(np.int64), lo - near, scale
 
 
 def _read_text(path: str | Path) -> str:

@@ -18,7 +18,10 @@ vectorised periodic witnesses.
 
 ``read_csv_rows`` reads a CSV file one line at a time, the reference for
 the block parser of ``grid.read_csv``: the same rows, bit for bit, and the
-same ``GridError`` text for the first bad line.
+same ``GridError`` text for the first bad line.  ``write_columns_repr``
+writes each cell as its ``repr``, joined by ``,`` and ``\n``: the reference
+that ``grid.write_csv`` and every ``--plot-csv`` file must match byte for
+byte.
 
 ``is_center_bruteforce`` and ``region_star_check_bruteforce`` evaluate every
 chord (and every sampled segment) at every grid point it crosses: the cubic
@@ -54,6 +57,7 @@ __all__ = [
     "periodic_witnesses_bruteforce",
     "read_csv_rows",
     "region_star_check_bruteforce",
+    "write_columns_repr",
 ]
 
 MAX_BRUTEFORCE_N = 14
@@ -130,6 +134,20 @@ def read_csv_rows(path: str | Path) -> GridFunction:
         ys.append(y)
         row_lines.append(lineno)
     return _grid_from_rows(np.frombuffer(xs), np.frombuffer(ys), np.frombuffer(row_lines, np.int64))
+
+
+def write_columns_repr(
+    path: str | Path, columns: Sequence[np.ndarray], header: str | None = None
+) -> None:
+    """Write equal-length columns as rows of ``repr``s, one ``repr`` per cell.
+
+    The line ``header`` comes first when one is given.
+    """
+    with Path(path).open("w", encoding="utf-8") as out:
+        if header is not None:
+            out.write(header + "\n")
+        cells = (map(repr, column.tolist()) for column in columns)
+        out.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def pair_scan_bruteforce(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funclass import cli, grid, periodic, subadd
+from funclass import cli, grid, oracle, periodic, subadd
 from funclass.cli import COMMANDS, run
 from funclass.grid import GridError, Witnesses, read_csv, sample
 
@@ -725,6 +725,38 @@ class TestJsonWriter:
         report = {"violations": witnesses}
         assert cli._to_json(report) == _dumps(_expanded(report))
 
+    def test_dedup_sort_runs_only_when_a_sample_repeats(self, monkeypatch):
+        sizes = []
+        unique = np.unique
+
+        def counting(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        distinct = np.linspace(1.0, 2.0, 130_816)  # like the order-2 report's rhs and slack
+        assert not cli._has_repeats(distinct)
+        assert list(cli._reprs(distinct)) == list(map(repr, distinct.tolist()))
+        assert distinct.size not in sizes
+        half = distinct[:65_408]
+        mirrored = np.concatenate([half, half[::-1]])  # like the weak bound's
+        texts = list(cli._reprs(mirrored))
+        assert texts == list(map(repr, mirrored.tolist()))
+        assert texts[0] is texts[-1]  # one string per distinct value
+        assert mirrored.size in sizes
+
+    def test_a_value_error_of_the_formatter_propagates(self, capsys, monkeypatch):
+        def broken(values, sep=b"\n"):
+            raise ValueError("formatter fault")
+
+        monkeypatch.setattr(cli, "repr_bytes", broken)
+        with pytest.raises(ValueError, match="formatter fault") as info:
+            cli._to_json({"values": np.linspace(0.0, 1.0, 5000)})
+        assert not isinstance(info.value, GridError)  # not read as a non-finite result
+        with pytest.raises(ValueError, match="formatter fault"):
+            run(["minorant", "--expr", "x^0.5", "--to", "1", "--samples", "2000"])
+        assert capsys.readouterr().out == ""
+
     def test_mirrored_weak_bound_columns_are_formatted_once_per_value(self):
         # the pairs (i, j) and (j, i) share rhs and slack: 1024 values in 2016, past half
         f = sample("1.3*x^2.5", 0.0, 8.0 / 64, 65)
@@ -780,6 +812,15 @@ class TestJsonWriter:
 class TestValueArrays:
     """Handlers put their value arrays into the report as the plot columns
     themselves, so no list is built."""
+
+    def test_plot_csv_matches_the_per_cell_writer(self, capsys, tmp_path):
+        plot = tmp_path / "plot.csv"
+        argv = ["envelope", "--expr", "x + 0.28*sin(2*pi*x)", "--to", "50", "--samples", "20001",
+                "--d", "1", "--plot-csv", str(plot)]
+        _, _, columns = cli._dispatch(cli._parser().parse_args(argv))
+        assert invoke(capsys, argv)[0] == 0
+        oracle.write_columns_repr(tmp_path / "ref.csv", list(columns.values()), ",".join(columns))
+        assert plot.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("command, keys", [
         (["minorant"], {"sigma": "sigma", "residual": "residual"}),

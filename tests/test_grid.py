@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import funclass as fc
 from funclass import grid
 from funclass.grid import read_csv, read_json, write_csv, write_json
-from funclass.oracle import read_csv_rows
+from funclass.oracle import read_csv_rows, write_columns_repr
 
 
 class TestTolerance:
@@ -683,3 +683,142 @@ class TestJson:
         path.write_bytes(b'{"origin": 0.0, "step": 1.0, "values": [1, 2]} \xff')
         with pytest.raises(fc.GridError, match=r"latin\.json: not UTF-8 text"):
             read_json(path)
+
+
+def _repr_lines(values) -> bytes:
+    """What ``grid.repr_bytes`` must give: each ``repr``, then a newline."""
+    return "".join(repr(v) + "\n" for v in np.asarray(values, np.float64).tolist()).encode()
+
+
+def _with_neighbours(values) -> np.ndarray:
+    """``values`` and their negatives, each with the doubles on either side."""
+    v = np.asarray(values, np.float64)
+    v = np.concatenate([v, -v])
+    with np.errstate(over="ignore"):  # past the largest double is inf
+        v = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+    return v[np.isfinite(v)]
+
+
+def _interval_boundaries() -> np.ndarray:
+    """Doubles half a spacing from a short decimal ``c * 10**t``, c odd.
+
+    With ``c * 5**t`` in ``[2**53, 2**54]``, ``x = m * 2**(t + 1)`` for
+    ``m = (c * 5**t -+ 1) / 2`` has ``c * 10**t`` exactly on the edge of its
+    rounding interval, which reads back as ``x`` iff ``m`` is even.
+    """
+    out = []
+    for t in range(24):  # 5**24 > 2**54
+        first = 2**53 // 5**t | 1
+        for c in range(first, first + 80, 2):
+            for m in ((c * 5**t - 1) // 2, (c * 5**t + 1) // 2):
+                if 2**52 <= m < 2**53:
+                    out.append(float(m * 2 ** (t + 1)))
+    return np.array(out)
+
+
+class TestReprBytes:
+    """``grid.repr_bytes`` and the CSV writer give ``repr``'s bytes exactly."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_patterns(self, patterns):
+        values = np.array(patterns, np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_values_with_few_decimal_places_and_their_neighbours(self):
+        rng = np.random.default_rng(24)
+        texts = [f"{m}e-{places}" for places in range(9)
+                 for m in rng.integers(1, 10**9, 400).tolist()]
+        values = _with_neighbours([float(t) for t in texts])
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_powers_of_two_and_ten(self):
+        values = np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
+            [float(f"1e{k}") for k in range(-323, 309)],
+        ])
+        values = _with_neighbours(values[values > 0])
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_powers_of_two_whose_symmetric_interval_admits_a_shorter_decimal(self):
+        # 1.844674407370955e+19 is within half a spacing below 2**64, but the
+        # double below 2**64 lies only a quarter spacing away: it reads back as that
+        values = np.array([2.0**64, 2.0**-44, -(2.0**-98), 2.0**185])
+        assert grid.repr_bytes(values) == _repr_lines(values)
+        assert grid.repr_bytes(values) == (
+            b"1.8446744073709552e+19\n5.684341886080802e-14\n"
+            b"-3.1554436208840472e-30\n4.9039857307708443e+55\n")
+
+    def test_integers(self):
+        values = np.concatenate([
+            np.arange(-100_000, 100_000, 7), 2.0**53 + np.arange(-8, 9),
+            1e16 + np.arange(-8, 9), [2.0**63, 1e22, 1e23, 123456789012345678.0],
+        ])
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_exponent_switch_and_named_edges(self):
+        values = _with_neighbours([
+            1e-4, 1e-5, 1e16, 1e17, 9999999999999998.0, 0.0, 5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 1e-280, 1e280, 0.1, 0.5, 1.0, 1.5, 12345.678,
+            # computed just below 1e16 after the exponent estimate: the digits start at 9
+            float.fromhex("0x1.e392010175ee5p-74"), float.fromhex("0x1.ef2d0f5da7dd8p-84"),
+        ])
+        assert grid.repr_bytes(values) == _repr_lines(values)
+        assert grid.repr_bytes(np.array([1e-4, 1e-5, 1e16, 1e15, -0.0, 5e-324])) == (
+            b"0.0001\n1e-05\n1e+16\n1000000000000000.0\n-0.0\n5e-324\n")
+
+    def test_values_beyond_the_scaled_range(self):
+        values = _with_neighbours(np.concatenate([
+            np.geomspace(5e-324, 1e-279, 2000), np.geomspace(1e279, 1e308, 2000),
+            [1.7976931348623157e308],
+        ]))
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_rounding_ties_and_interval_boundaries(self):
+        # y = x * 10**23 is a half-integer, within the scaling's error of a tie,
+        # and decimals exactly half a spacing from x
+        ties = [odd * 2.0**-24 for odd in range(3, 17, 2)] + [3 * 2.0**-25]
+        values = _with_neighbours(np.concatenate([ties, _interval_boundaries()]))
+        assert grid.repr_bytes(values) == _repr_lines(values)
+
+    def test_separator_non_finite_and_empty(self):
+        values = np.array([1.5, -np.inf, np.nan, np.inf, -2.0])
+        assert grid.repr_bytes(values, b",") == b"1.5,-inf,nan,inf,-2.0,"
+        assert grid.repr_bytes(np.zeros(0)) == b""
+
+    @pytest.mark.parametrize("block, sizes", [
+        (1, [1, 2, 40]), (7, [6, 7, 8, 14, 15, 40]), (8192, [8191, 8192, 8193, 2 * 8192 + 9]),
+    ])
+    def test_blocks_of_any_size(self, monkeypatch, block, sizes):
+        monkeypatch.setattr(grid, "_REPR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        values = np.concatenate([rng.uniform(-50, 50, max(sizes) - 6), np.zeros(5), [2.0**64]])
+        for size in sizes:
+            assert grid.repr_bytes(values[:size]) == _repr_lines(values[:size]), size
+            assert grid.repr_bytes(values[-size:]) == _repr_lines(values[-size:]), size
+
+
+class TestWriteColumns:
+    """``write_csv`` and ``--plot-csv`` files match the per-cell oracle writer."""
+
+    @pytest.mark.parametrize("kind, count", [("sin", 100_001), ("explogcos", 200_001)])
+    def test_periodic_benchmark_files(self, tmp_path, kind, count):
+        # the two CSV files of the periodic-long benchmark workload, coefficients from its ranges
+        x = np.arange(count) * (50.0 / (count - 1))
+        if kind == "sin":
+            y = x + 0.28 * np.sin(2 * np.pi * x)
+        else:
+            y = x + 0.17 * np.log(2 + np.cos(2 * np.pi * x)) + 0.22 * np.exp(np.sin(2 * np.pi * x))
+        f = fc.GridFunction(0.0, x[1], y)
+        write_csv(f, tmp_path / "new.csv")
+        write_columns_repr(tmp_path / "old.csv", (f.xs(), f.values))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
+    def test_rows_at_block_boundaries_with_a_header(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = [rng.uniform(-1, 1, rows), np.zeros(rows), rng.integers(-9, 9, rows) * 0.5]
+        grid._write_columns(tmp_path / "new.csv", columns, "a,b,c")
+        write_columns_repr(tmp_path / "old.csv", columns, "a,b,c")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
