@@ -9,9 +9,11 @@ stage of a large report.  Reports hold value arrays as the handlers' numpy
 float64 columns, the same objects as the plot columns, and witnesses as
 ``grid.Witnesses`` columns; the writer encodes both column by column.  It
 appends the text's fragments to one list and joins it once, witness rows
-a block at a time, and formats a long column once per distinct value when
-at most 3/4 of a float column's entries, or half of an int column's, are
-distinct, and long float columns with ``grid.repr_bytes`` (see ``_reprs``).
+a block at a time.  Every column, a value array's or a witness list's,
+comes as ``_ROW_BLOCK`` texts at a time from ``_repr_blocks``, which formats
+a long column once per distinct value when at most 3/4 of a float column's
+entries, or half of an int column's, are distinct, and long float blocks
+with ``grid.repr_bytes``.
 
 Exit codes: 0 when the checked property holds or the construction succeeded,
 1 when a property fails (the report carries witnesses), 2 for usage or data
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -287,9 +288,9 @@ _DEDUP_MIN = 256
 # repr near 300 entries; on values of a few digits, whose repr is cheaper,
 # only near 1,500.
 _REPR_MIN = 1024
-# Witness rows per join in _witness_rows, and column entries per tolist() in
-# _blockwise: a block's strings are joined and freed before the next block's
-# are made.
+# Entries per block of _repr_blocks, which is also the witness rows per join
+# in _witness_rows: a block's strings are joined and freed before the next
+# block's are made.
 _ROW_BLOCK = 16_384
 
 
@@ -303,8 +304,9 @@ def _finite(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _reprs(column: np.ndarray) -> Iterator[str]:
-    """Each entry of a 1-D int64 or float64 column as ``json`` writes it: its ``repr``.
+def _repr_blocks(column: np.ndarray) -> Iterator[list[str]]:
+    """The ``repr`` of each entry of a 1-D int64 or float64 column, as ``json``
+    writes it, in lists of ``_ROW_BLOCK`` entries, the last one shorter.
 
     A column of at least ``_DEDUP_MIN`` entries has each distinct value
     formatted once, and looked up per entry, when at most 3/4 of a float64
@@ -315,16 +317,24 @@ def _reprs(column: np.ndarray) -> Iterator[str]:
     ``slack`` bits: 65,536 distinct values in 130,816.  Values are told apart
     by their bits, so -0.0 is not 0.0.  The sort that counts them runs only
     when a sample of the column (see ``_has_repeats``) holds a repeat.
-    Float64 texts, of the column or of its distinct values, come from
-    ``grid.repr_bytes`` at ``_REPR_MIN`` entries or more.
+    Otherwise each block is formatted on its own.  Float64 values, a block or
+    the distinct ones, of ``_REPR_MIN`` entries or more are formatted by
+    ``grid.repr_bytes``, others by ``repr`` per entry.
     """
+    def texts(values: np.ndarray) -> list[str]:
+        if values.dtype == np.float64 and values.size >= _REPR_MIN:
+            return repr_bytes(values).decode("ascii").split("\n")[:-1]  # none after the last
+        return list(map(repr, values.tolist()))
+
     if column.size >= _DEDUP_MIN and _has_repeats(column):
         distinct, at = np.unique(column.view(np.int64), return_inverse=True)
         if distinct.size <= (0.75 if column.dtype == np.float64 else 0.5) * column.size:
-            return _blockwise(_texts(distinct.view(column.dtype)).__getitem__, at)
-    if column.dtype == np.float64 and column.size >= _REPR_MIN:
-        return iter(_texts(column))
-    return _blockwise(repr, column)
+            table = texts(distinct.view(column.dtype))
+            for start in range(0, at.size, _ROW_BLOCK):
+                yield list(map(table.__getitem__, at[start:start + _ROW_BLOCK].tolist()))
+            return
+    for start in range(0, column.size, _ROW_BLOCK):
+        yield texts(column[start:start + _ROW_BLOCK])
 
 
 def _has_repeats(column: np.ndarray) -> bool:
@@ -347,51 +357,30 @@ def _has_repeats(column: np.ndarray) -> bool:
     return bool((sample[1:] == sample[:-1]).any())
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """The ``repr`` of each entry of a 1-D int64 or float64 array, as a list."""
-    if values.dtype == np.float64 and values.size >= _REPR_MIN:
-        texts = repr_bytes(values).decode("ascii").split("\n")
-        texts.pop()  # after the last separator
-        return texts
-    return list(map(repr, values.tolist()))
-
-
-def _blockwise(fn: Callable[[object], str], column: np.ndarray) -> Iterator[str]:
-    """``map(fn, column.tolist())``, converting ``_ROW_BLOCK`` entries at a time."""
-    if column.size <= _ROW_BLOCK:
-        return map(fn, column.tolist())
-    blocks = range(0, column.size, _ROW_BLOCK)
-    return itertools.chain.from_iterable(
-        map(fn, column[k:k + _ROW_BLOCK].tolist()) for k in blocks)
-
-
 def _witness_rows(witnesses: Witnesses, indent: str, out: list[str]) -> None:
     """Append ``[w.to_dict() for w in witnesses]``'s items at ``indent``, as ``json`` writes them.
 
     The items come out joined by ``"," + indent``, from the columns: each
     block of ``_ROW_BLOCK`` rows is one list of ten strings per row, a key's
-    text before each of the five values, with the column ``repr``s assigned
-    by slice between the keys, and is joined once.  ``slack`` is
-    ``lhs - rhs`` in numpy, the bits of ``Witness.slack``; it is finite only
-    where both sides are.
+    text before each of the five values, with the columns' blocks from
+    ``_repr_blocks`` assigned by slice between the keys, and is joined once.
+    ``slack`` is ``lhs - rhs`` in numpy, the bits of ``Witness.slack``; it is
+    finite only where both sides are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         slack = _finite(witnesses.lhs - witnesses.rhs)
     inner = indent + "  "
-    columns = [_reprs(column) for column in (witnesses.i, witnesses.j, witnesses.lhs,
-                                             witnesses.rhs, slack)]
+    columns = (witnesses.i, witnesses.j, witnesses.lhs, witnesses.rhs, slack)
     sep = "," + inner
     opener = "{" + inner + '"i": '
     # i's key text also closes the row before; the list's first row has just the opener
     row = [indent + "}," + indent + opener, None, sep + '"j": ', None, sep + '"lhs": ', None,
            sep + '"rhs": ', None, sep + '"slack": ', None]
-    size = len(witnesses)
-    for start in range(0, size, _ROW_BLOCK):
-        rows = min(_ROW_BLOCK, size - start)
-        block = row * rows
-        for k, column in enumerate(columns):
-            block[2 * k + 1::10] = itertools.islice(column, rows)
-        if not start:
+    for b, texts in enumerate(zip(*map(_repr_blocks, columns))):
+        block = row * len(texts[0])
+        for k, column in enumerate(texts):
+            block[2 * k + 1::10] = column
+        if b == 0:
             block[0] = opener
         out.append("".join(block))
     out.append(indent + "}")
@@ -452,15 +441,18 @@ def _encode(o: object, indent: str, out: list[str]) -> None:
         out.append("[]")
         return
     out.append("[" + inner)
-    if column:
-        out.append(sep.join(_reprs(_finite(o))))
-    elif isinstance(o, Witnesses):
+    if isinstance(o, Witnesses):
         _witness_rows(o, inner, out)
+    elif column:
+        for texts in _repr_blocks(_finite(o)):
+            out.append(sep.join(texts))
+            out.append(sep)
+        out.pop()  # the last separator
     else:
         for item in o:
             _encode(item, inner, out)
             out.append(sep)
-        out.pop()  # the last separator
+        out.pop()
     out.append(indent + "]")
 
 

@@ -19,10 +19,10 @@ pass is decided by evaluating its ordinates, as the definition reads.  A chord
 that passes only over points equal to ``v[p]`` needs no such check: its
 ordinates round to one side of ``v[p]``, so it is one-sided at any slack.
 Where a difference of two values could overflow, both tests run on the values
-and the margin at quarter scale, an exact power of two.  ``central_set`` runs
-the slope test for blocks of consecutive centers at once, over strided views
-of padded copies of ``v``, and asks ``is_center`` only about the centers whose
-chords the slopes leave undecided.
+and the margin at quarter scale, an exact power of two.  ``_centers`` decides
+``is_center`` (one row) and ``central_set`` (every row) alike: the slope test
+for blocks of consecutive centers at once, over strided views of padded
+copies of ``v``, then the ordinate check of the chords it leaves undecided.
 
 ``region_star_check`` samples points of an epigraph or hypograph region (or
 of a split union of both, its side given by ``RegionKind.sides``) and joins
@@ -265,31 +265,18 @@ def _side_bounds(
     np.minimum.accumulate((rise + slack) / steps, -1, out=upper)
 
 
-def _slope_tests(
-    slope: np.ndarray, lower: np.ndarray, upper: np.ndarray, band: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per chord: does it surely fail the ordinate test, and do the slopes leave it undecided?"""
-    # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
-    # so a chord this far past both bounds fails the ordinate test
-    fails = (slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)
-    undecided = ~((slope >= lower) | (slope <= upper))  # NaN: undecided
-    return fails, undecided
-
-
 def _chord_bounds(
     v: np.ndarray, p: int, margin: float, top: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope bounds for chords from ``(p, v[p])``, slopes in value per grid step.
 
-    ``top`` is ``max|v|``, which every caller has already computed.
-
-    Returns ``dist = |q - p|`` (1 at ``p`` so slopes stay finite), the per-``q``
-    bounds ``lower``/``upper`` and ``band``, how far slopes and chord ordinates
-    may round apart.  With ``slack = margin - band``, a chord towards ``q`` with
-    slope ``s`` stays on or above ``v - slack`` at every grid point strictly
-    between iff ``s >= lower[q]``, and on or below ``v + slack`` iff
-    ``s <= upper[q]`` (in exact arithmetic).  With no grid point between, the
-    bounds are infinite.
+    ``top`` is ``max|v|``.  Returns ``dist = |q - p|`` (1 at ``p`` so slopes
+    stay finite) and the per-``q`` bounds ``lower``/``upper``.  With ``slack =
+    margin - band``, ``band`` how far slopes and chord ordinates may round
+    apart, a chord towards ``q`` with slope ``s`` stays on or above
+    ``v - slack`` at every grid point strictly between iff ``s >= lower[q]``,
+    and on or below ``v + slack`` iff ``s <= upper[q]`` (in exact
+    arithmetic).  With no grid point between, the bounds are infinite.
     """
     band = _rounding_band(margin, top)
     dist = np.abs(np.arange(v.size, dtype=np.float64) - p)
@@ -302,7 +289,7 @@ def _chord_bounds(
     sides = [(a[p + 1:], a[:p][::-1]) for a in (rise, dist, lower, upper)]
     for r, d, lo, up in zip(*sides):
         _side_bounds(r[:-1], d[:-1], margin - band, lo[1:], up[1:])
-    return dist, lower, upper, band
+    return dist, lower, upper
 
 
 def _on_side(a: np.ndarray, b: np.ndarray | float, sign: int, margin: float) -> np.ndarray:
@@ -329,63 +316,20 @@ def _first_exit(
     return StarWitness(q, float(ends[k]), m, float(seg[k, i]), float(v[m]))
 
 
-def _flat_reach(v: np.ndarray, p: int) -> tuple[int, int]:
-    """The widest ``[lo, hi]`` around ``p`` whose chords from ``p`` pass only over
-    grid points equal to ``v[p]``.
-    """
-    changes = np.flatnonzero(v != v[p])
-    k = int(np.searchsorted(changes, p))
-    lo = int(changes[k - 1]) if k > 0 else 0
-    hi = int(changes[k]) if k < changes.size else v.size - 1
-    return lo, hi
-
-
-def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
-    """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
-
-    Chords are evaluated only at grid abscissas strictly between the endpoints,
-    with a one-sided slack of ``tol.abs + tol.rel * max|v|``.  O(N) time and
-    memory: one slope test per chord, and an ordinate check for the chords
-    that fail it or pass it only within rounding, unless every point they pass
-    over equals ``v[p]``.
-    """
-    v = f.values
-    p = _index(p, "center index", v.size)
-    margin = tol.grid_slack(v)
-    top = float(np.abs(v).max())
-    scale = _scale_for(top, margin)
-    if scale != 1.0:  # central_set calls this for each undecided row: no copies when unscaled
-        v, margin, top = scale * v, scale * margin, scale * top
-    dist, lower, upper, band = _chord_bounds(v, p, margin, top)
-    fails, undecided = _slope_tests((v - v[p]) / dist, lower, upper, band)
-    if fails.any():
-        return False
-    undecided = np.flatnonzero(undecided)
-    if undecided.size:
-        # Over a stretch where v equals v[p] exactly, the chord ordinates
-        # v[p] + rise * t round to one side of v[p], so any slack >= 0 holds.
-        lo, hi = _flat_reach(v, p)
-        undecided = undecided[(undecided < lo) | (undecided > hi)]
-    return all(
-        _first_exit(v, p, q, v[q:q + 1], 1, margin) is None
-        or _first_exit(v, p, q, v[q:q + 1], -1, margin) is None
-        for q in map(int, undecided)
-    )
-
-
-def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
-    """All centers with their curvature classes (O(N^2) time, O(N) memory).
+def _centers(f: GridFunction, tol: Tolerance, first: int, stop: int) -> list[int]:
+    """The centers among grid indices ``first .. stop - 1``.
 
     Candidate centers are taken in blocks of ``CENTER_BLOCK`` consecutive
     indices.  Each side of a block is one strided view: row ``r`` holds the
     values outward from center ``p0 + r``, read from a copy of ``v`` padded
     with ``+inf`` on the right and from a reversed padded copy on the left,
-    cropped to the block's reach.  Every chord goes through ``is_center``'s
-    float operations (``_side_bounds``, ``_slope_tests``), and max and min are
-    exact, so every bound keeps its bits; a ``+inf`` pad always passes the
-    slope test and never surely fails.  A row with a sure fail is not a
-    center, and a row with no undecided chord is one.  The rest, near ties and
-    flat stretches, are decided by ``is_center`` itself.
+    cropped to the block's reach.  The slope bounds are ``_side_bounds``'
+    running maximum and minimum, which are exact, so every bound has the
+    bits it would have for that center alone; a ``+inf`` pad always passes
+    the slope test and never surely fails.  A row with a sure fail is not a
+    center, and a row with no undecided chord is one.  The rest, near ties
+    and flat stretches, are settled by ``_settled`` on the chords their
+    ``open_`` masks leave undecided.
     """
     v = f.values
     n = v.size
@@ -396,7 +340,7 @@ def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
         v, margin, top = scale * v, scale * margin, scale * top
     band = _rounding_band(margin, top)
     slack = margin - band
-    rows = CENTER_BLOCK
+    rows = min(CENTER_BLOCK, stop - first)
     pads = np.full(rows - 1, np.inf)  # the rows past a side's end read these
     right = np.concatenate((v, pads))  # right[q] = v[q]
     left = np.concatenate((v[::-1], pads))  # left[n - 1 - q] = v[q]
@@ -404,10 +348,11 @@ def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
     # rise to the points passed, lower, upper and the chords' slopes, reused by every block
     work = np.empty((4, rows * (n - 1)))
     centers = []
-    for p0 in range(0, n, rows):
-        b = min(rows, n - p0)
+    for p0 in range(first, stop, rows):
+        b = min(rows, stop - p0)
         fails = np.zeros(b, dtype=bool)
         undecided = np.zeros(b, dtype=bool)
+        opens = []  # each side's direction and undecided chords
         # Row r's point k + 1 steps out is right[p0 + r + 1 + k] = v[p0 + r + 1 + k]
         # and left[n - p0 - r + k] = v[p0 + r - 1 - k].  Only chords ending 2 or
         # more steps out pass over a grid point.  The longer side goes first: once
@@ -424,14 +369,64 @@ def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
             _side_bounds(rise, steps[:cols], slack, lower, upper)
             np.subtract(_strided_rows(table, start + 1, step, b, cols), center, out=slope)
             np.divide(slope, steps[1:reach], out=slope)
-            sure, open_ = _slope_tests(slope, lower, upper, band)
-            fails |= sure.any(axis=1)
+            # slack margin + band moves each bound term by 2 * band / |m - p| <= 2 * band,
+            # so a chord this far past both bounds fails the ordinate test
+            fails |= ((slope < lower - 2.0 * band) & (slope > upper + 2.0 * band)).any(axis=1)
+            open_ = ~((slope >= lower) | (slope <= upper))  # NaN: undecided
             undecided |= open_.any(axis=1)
+            opens.append((step, open_))
         centers += [
             p0 + r for r in range(b)
-            if not fails[r] and (not undecided[r] or is_center(f, p0 + r, tol))
+            if not fails[r] and (not undecided[r] or _settled(
+                v, p0 + r, [(step, open_[r]) for step, open_ in opens], margin))
         ]
-    centers = tuple(centers)
+    return centers
+
+
+def _settled(
+    v: np.ndarray, p: int, opens: list[tuple[int, np.ndarray]], margin: float
+) -> bool:
+    """Are the chords from ``(p, v[p])`` that the slope test leaves undecided one-sided?
+
+    ``opens`` holds, per side, its direction (+1 right, -1 left) and the mask
+    of its undecided chords, the ``k``-th ending ``k + 2`` steps out.  Over a
+    stretch where ``v`` equals ``v[p]`` exactly, the chord ordinates
+    ``v[p] + rise * t`` round to one side of ``v[p]``, so any slack ``>= 0``
+    holds; the other chords get the ordinate check.
+    """
+    ends = np.concatenate([p + step * (2 + np.flatnonzero(mask)) for step, mask in opens])
+    changes = np.flatnonzero(v != v[p])  # chords up to the nearest of these pass over v[p] alone
+    k = int(np.searchsorted(changes, p))
+    lo = changes[k - 1] if k > 0 else 0
+    hi = changes[k] if k < changes.size else v.size - 1
+    return all(
+        _first_exit(v, p, q, v[q:q + 1], 1, margin) is None
+        or _first_exit(v, p, q, v[q:q + 1], -1, margin) is None
+        for q in map(int, ends[(ends < lo) | (ends > hi)])
+    )
+
+
+def is_center(f: GridFunction, p: int, tol: Tolerance = Tolerance()) -> bool:
+    """Is ``(x_p, v[p])`` a center: every chord one-sided against the graph?
+
+    Chords are evaluated only at grid abscissas strictly between the endpoints,
+    with a one-sided slack of ``tol.abs + tol.rel * max|v|``.  O(N) time and
+    memory: ``central_set``'s test on the single row ``p``, one slope test per
+    chord and an ordinate check for the chords that fail it or pass it only
+    within rounding, unless every point they pass over equals ``v[p]``.
+    """
+    p = _index(p, "center index", f.values.size)
+    return bool(_centers(f, tol, p, p + 1))
+
+
+def central_set(f: GridFunction, tol: Tolerance = Tolerance()) -> StarReport:
+    """All centers with their curvature classes (O(N^2) time, O(N) memory).
+
+    Every center is decided by the test ``is_center`` runs on one row, here
+    for blocks of ``CENTER_BLOCK`` consecutive candidates at once (see
+    ``_centers``).
+    """
+    centers = tuple(_centers(f, tol, 0, f.values.size))
     classes = dict(zip(centers, _shape_classes(f, centers, tol)))
     return StarReport(
         centers=centers, per_center_class=classes, is_star_convex=bool(centers)
@@ -513,7 +508,7 @@ def region_star_check(
     # sign, and a segment's slope grows with its level: an epigraph column
     # holds iff its lowest selected level does, a hypograph column iff its
     # highest does.  Columns not surely holding get the sampled check.
-    dist, lower, upper, _ = _chord_bounds(v, center_p, margin, float(np.abs(v).max()))
+    dist, lower, upper = _chord_bounds(v, center_p, margin, float(np.abs(v).max()))
     ordered = np.sort(levels)  # searchsorted needs ascending levels
     lowest = ordered[np.minimum(np.searchsorted(ordered, v, "left"), ordered.size - 1)]
     highest = ordered[np.maximum(np.searchsorted(ordered, v, "right") - 1, 0)]

@@ -455,15 +455,16 @@ def minimal_order(
     _require_zero_origin(f)
     _require_non_negative(f)
     certified = next((k for k in range(1, n_max + 1) if _certified(f, k, tol, 0)), None)
-    n = 1
+    n, bound = 1, _order_bound(1)  # a bound is built once per candidate order
     buffers = _TileBuffers(2)
     with np.errstate(over="ignore"):  # an overflowing bound is +inf, as in _scan
         for t in _tiles(f.values, f.xs(), 0, 0, 1):
             out, spare = buffers(t.vb.shape)
             while n < n_max and n != certified and not np.all(
-                tol.leq_array(t.lhs, _order_bound(n)(t.va, t.xa, t.vb, t.xb, out, spare).min(axis=1))
+                tol.leq_array(t.lhs, bound(t.va, t.xa, t.vb, t.xb, out, spare).min(axis=1))
             ):
                 n += 1
+                bound = _order_bound(n)
             if n == certified:
                 break
     while True:

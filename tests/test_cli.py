@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -617,6 +618,11 @@ def _encoded(encode, obj):
         return TypeError
 
 
+def _reprs(column):
+    """The writer's texts of a column's entries, its blocks flattened."""
+    return list(itertools.chain.from_iterable(cli._repr_blocks(column)))
+
+
 def _dumps(obj):
     return json.dumps(obj, indent=2, allow_nan=False)
 
@@ -658,10 +664,13 @@ class TestJsonWriter:
             cli._to_json(obj)
         assert str(got.value) == str(want.value)
 
-    def test_large_witness_report(self):
-        # the 513-sample x^2.5 order-2 report of the cli-reports benchmark workload
+    # the 513-sample x^2.5 order-2 and weak-bound reports of the cli-reports
+    # benchmark workload: one all-distinct, one mirrored rhs and slack
+    @pytest.mark.parametrize("check, n", [(subadd.check_order, 2), (subadd.check_weak_bound, 1)],
+                             ids=["order-2", "weak-bound"])
+    def test_large_witness_report(self, check, n):
         f = sample("1.3*x^2.5", 0.0, 8.0 / 512, 513)
-        report = subadd.check_order(f, 2).to_dict()
+        report = check(f, n).to_dict()
         assert len(report["violations"]) == 130_816
         tracemalloc.start()
         try:
@@ -670,7 +679,7 @@ class TestJsonWriter:
         finally:
             tracemalloc.stop()
         # the finished text and the fragments it is joined from, not copies per nesting level
-        assert peak < 2.5 * len(text)
+        assert peak < 2.2 * len(text)
         assert _first_difference(text, _dumps(_expanded(report))) is None
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -707,7 +716,7 @@ class TestJsonWriter:
         values = np.concatenate([[0.0, -0.0], np.linspace(1.0, 2.0, distinct - 2)])
         values = np.concatenate([values, np.resize(values, 256 - distinct)])
         assert np.unique(values.view(np.int64)).size == distinct
-        texts = list(cli._reprs(values))
+        texts = _reprs(values)
         assert (texts[0] is texts[distinct]) is shared  # one string per distinct value
         assert cli._to_json({"k": values}) == _dumps({"k": values.tolist()})
         ints = np.arange(256) % 200
@@ -719,7 +728,7 @@ class TestJsonWriter:
                              ids=["half-distinct", "one-past-half"])
     def test_int_columns_at_the_dedup_cut(self, distinct, shared):
         ints = np.concatenate([np.arange(distinct), np.arange(256 - distinct)]) * 1000
-        texts = list(cli._reprs(ints))
+        texts = _reprs(ints)
         assert (texts[1] is texts[distinct + 1]) is shared
         witnesses = Witnesses(ints, ints, np.full(256, 0.5), np.full(256, -0.0))
         report = {"violations": witnesses}
@@ -736,11 +745,11 @@ class TestJsonWriter:
         monkeypatch.setattr(np, "unique", counting)
         distinct = np.linspace(1.0, 2.0, 130_816)  # like the order-2 report's rhs and slack
         assert not cli._has_repeats(distinct)
-        assert list(cli._reprs(distinct)) == list(map(repr, distinct.tolist()))
+        assert _reprs(distinct) == list(map(repr, distinct.tolist()))
         assert distinct.size not in sizes
         half = distinct[:65_408]
         mirrored = np.concatenate([half, half[::-1]])  # like the weak bound's
-        texts = list(cli._reprs(mirrored))
+        texts = _reprs(mirrored)
         assert texts == list(map(repr, mirrored.tolist()))
         assert texts[0] is texts[-1]  # one string per distinct value
         assert mirrored.size in sizes
@@ -766,7 +775,7 @@ class TestJsonWriter:
         assert (witnesses.i[1], witnesses.j[1]) == (1, 2)
         mirror = np.flatnonzero((witnesses.i == 2) & (witnesses.j == 1))[0]
         for column in (witnesses.rhs, witnesses.lhs - witnesses.rhs):
-            texts = list(cli._reprs(column))
+            texts = _reprs(column)
             assert texts[1] is texts[mirror]
         assert cli._to_json(report) == _dumps(_expanded(report))
 

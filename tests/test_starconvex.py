@@ -451,6 +451,7 @@ def oracle_grids():
     # a plateau, then a point just above the chord from 0 to 4: the chord is
     # undecided by slopes and is two-sided only because of that last point
     grids.append(fc.GridFunction(0.0, 1.0, [0.0, 0.0, 0.0, 0.75 + 1e-14, 1.0]))
+    grids.append(fc.GridFunction(0.0, 1.0, [1.0, 0.75 + 1e-14, 0.0, 0.0, 0.0]))  # mirrored
     return grids
 
 
@@ -572,6 +573,10 @@ def blocked_grids():
             np.where(np.abs(k - 2 * n // 3) < 2, 1.5, 1.0),  # plateau plus bump
             rng.integers(-3, 4, n).astype(float),  # integer ties
             1.7e308 * np.sin(3.0 * x),  # differences past the float range: quarter scale
+            np.maximum(x - 0.1, 0.0) ** 2,  # a plateau that ends mid-row, then a convex curve
+            # a plateau with bumps a few ulps high and deep, within the rounding
+            # band, beside a concave curve
+            np.where(x < 0.3, 1.0 + 2.0**-50 * (k % 3 - 1), 1.0 - (x - 0.3) ** 2),
         ):
             grids.append(fc.GridFunction(-1.0, 2.0 / (n - 1), values))
     return grids
@@ -583,29 +588,29 @@ BLOCKED_TOLERANCES = [fc.Tolerance(), fc.Tolerance(0.0, 0.0)]
 class TestBlockedCentralSet:
     @staticmethod
     def _count_fallbacks(monkeypatch):
-        """Record the rows central_set hands to is_center; return them and the real test."""
+        """Record the rows central_set hands to the ordinate check of their undecided chords."""
         calls = []
-        is_center = starconvex.is_center
+        settled = starconvex._settled
 
-        def counted(f, p, tol=fc.Tolerance()):
+        def counted(v, p, opens, margin):
             calls.append(p)
-            return is_center(f, p, tol)
+            return settled(v, p, opens, margin)
 
-        monkeypatch.setattr(starconvex, "is_center", counted)
-        return calls, is_center
+        monkeypatch.setattr(starconvex, "_settled", counted)
+        return calls
 
     # blocks of 1, 3 and 7 centers leave ragged last blocks and crop both reaches;
     # None keeps the module's block
     @pytest.mark.parametrize("rows", [1, 3, 7, None])
     def test_matches_every_center_test(self, monkeypatch, rows):
-        calls, is_center = self._count_fallbacks(monkeypatch)
+        calls = self._count_fallbacks(monkeypatch)
         if rows is not None:
             monkeypatch.setattr(starconvex, "CENTER_BLOCK", rows)
         fallbacks = 0
         for f in blocked_grids():
             n = f.values.size
             for tol in BLOCKED_TOLERANCES:
-                want = tuple(p for p in range(n) if is_center(f, p, tol))
+                want = tuple(p for p in range(n) if fc.is_center(f, p, tol))
                 if n <= 40:
                     with np.errstate(all="ignore"):
                         assert want == tuple(p for p in range(n) if is_center_bruteforce(f, p, tol)), f
@@ -614,16 +619,25 @@ class TestBlockedCentralSet:
                 assert rep.centers == want, (f, tol)
                 assert rep.per_center_class == {p: fc.classify_shape(f, p, tol) for p in want}
                 assert set(calls) <= set(range(n))
-                assert len(calls) == len(set(calls)), "a center was tested twice"
+                assert len(calls) == len(set(calls)), "a center was settled twice"
                 fallbacks += len(calls)
-        # near ties and flat stretches at zero tolerance reach is_center
+        # near ties and flat stretches at zero tolerance reach the ordinate check
         assert fallbacks > 0
+
+    def test_never_calls_is_center(self, monkeypatch):
+        def refuse(f, p, tol=fc.Tolerance()):
+            raise AssertionError("central_set called is_center")
+
+        monkeypatch.setattr(starconvex, "is_center", refuse)
+        for f in blocked_grids():
+            for tol in BLOCKED_TOLERANCES:
+                fc.central_set(f, tol)
 
     @pytest.mark.parametrize("rows", [3, None])
     def test_curved_grids_are_decided_by_slopes_alone(self, monkeypatch, rows):
         # every chord of these grids clears its slope bound by far more than the
-        # rounding band, padded rows included, so no row calls is_center
-        calls, _ = self._count_fallbacks(monkeypatch)
+        # rounding band, padded rows included, so no row reaches the ordinate check
+        calls = self._count_fallbacks(monkeypatch)
         if rows is not None:
             monkeypatch.setattr(starconvex, "CENTER_BLOCK", rows)
         x = np.linspace(-1.0, 1.0, 129)
