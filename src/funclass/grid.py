@@ -6,17 +6,19 @@ recomputed as ``origin + i * step`` from the integer index, never accumulated,
 so the index-to-abscissa mapping carries no drift.  Pairwise inequalities are
 accepted by :meth:`Tolerance.leq` (elementwise: :meth:`Tolerance.leq_array`);
 star-convexity and the power-fit verdict use the one-sided, grid-wide slack
-:meth:`Tolerance.grid_slack` (``abs + rel * max|v|``) instead.
+:meth:`Tolerance.grid_slack` (``abs + rel * max|v|``) instead.  :func:`read_csv`
+parses with numpy's text reader wherever it reads what reading line by line would.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
 import json
 import math
+from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,9 +104,8 @@ class Tolerance:
 
 _ABSCISSA_TOL = Tolerance()  # read_csv: each x equals origin + k * step under the default rule
 MAX_SPACING_DEVIATION = 1e-3  # in steps: far above abscissa roundoff, far below a misplaced row
-# Points per array pass of an expression in sample(), and about the lines per
-# block read from a CSV file: bounds every temporary independently of the grid
-# size, a deep expression's stack of operand arrays included.
+# Points per array pass of an expression in sample(): bounds every temporary
+# independently of the grid size, a deep expression's stack of operand arrays included.
 _CHUNK = 1 << 14
 
 
@@ -632,7 +633,9 @@ def _read_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff")
 
 
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' breaks besides "\n"
+# str.splitlines' breaks besides "\n", "\r\n" and "\r": np.loadtxt strips them from a
+# cell's ends as whitespace, so "1\x1c,2" would be a row, not the lines "1" and ",2"
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_csv(path: str | Path) -> GridFunction:
@@ -644,95 +647,85 @@ def read_csv(path: str | Path) -> GridFunction:
     uniformly spaced: each x must equal ``origin + k * step`` under the
     default :class:`Tolerance` and lie within ``MAX_SPACING_DEVIATION`` steps
     of it.  The first offending line is reported.
+
+    ``np.loadtxt`` reads the rows if :func:`_csv_lines` finds nothing in the
+    bytes that it would read otherwise, and they are finite, two per line.
+    Every other file, and every error, goes through :func:`_read_csv_lines`.
     """
-    values, row_lines = _csv_rows(_read_text(path))
-    return _grid_from_rows(values[:, 0], values[:, 1], row_lines)
+    lines = _csv_lines(path)
+    if lines is not None:
+        try:  # from a handle: np.loadtxt decompresses a path ending in .gz, .bz2, .xz or .lzma
+            with open(path, encoding="utf-8-sig") as fh:
+                rows = np.loadtxt(fh, np.float64, delimiter=",", comments=None,
+                                  skiprows=lines[0] - 1, ndmin=2)
+        except ValueError:  # UnicodeDecodeError too
+            pass
+        else:
+            if rows.shape == (len(lines), 2) and np.isfinite(rows).all():
+                return _grid_from_rows(rows[:, 0], rows[:, 1], lines)
+    return _read_csv_lines(path)
 
 
-def _csv_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(x, y)`` rows of a CSV text and their 1-based line numbers.
+def _csv_lines(path: str | Path) -> np.ndarray | None:
+    """The 1-based numbers of a CSV file's data lines, or None if ``np.loadtxt`` must not read it.
 
-    The text is cut into blocks of about ``_CHUNK`` lines of 32 characters,
-    each ending at a line end, and each block is parsed by :func:`_csv_block`.
+    None for a file holding one of ``_OTHER_BREAKS`` or fewer than two data
+    lines (``np.loadtxt`` warns on a file without rows).  A data line is a
+    non-empty line after the header, if any; ``\n``, ``\r\n`` and ``\r``
+    each end a line.  The bytes are freed on return.
     """
-    if any(mark in text for mark in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines())  # one "\n" per break: line numbers stay
-    strip = "\x1f" in text  # whitespace to str.strip(), not to float()
-    start = _header_end(text)
-    lineno = 2 if start else 1
-    blocks, lines = [np.empty((0, 2))], [np.empty(0, np.int64)]
-    while start < len(text):
-        stop = text.find("\n", start + 32 * _CHUNK)
-        stop = len(text) if stop < 0 else stop
-        values, rows, count = _csv_block(text[start:stop], lineno, strip)
-        blocks.append(values)
-        lines.append(rows)
-        start, lineno = stop + 1, lineno + count
-    return np.concatenate(blocks), np.concatenate(lines)
+    data = Path(path).read_bytes()
+    ascii_only = data.isascii()  # then the non-ASCII breaks need no search
+    if any(mark.encode() in data for mark in _OTHER_BREAKS if mark.isascii() or not ascii_only):
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    codes = np.frombuffer(data, np.uint8, offset=start)
+    # where each line starts - 1 and ends, the "\n"s found a MiB at a time so that
+    # no temporary is the size of the file
+    ends = np.concatenate([[-1]] + [np.flatnonzero(codes[k:k + (1 << 20)] == 10) + k
+                                    for k in range(0, codes.size, 1 << 20)] + [[codes.size]])
+    # np.loadtxt fails on a line 1 that is not UTF-8, header or not
+    header = _is_header(data[start:start + ends[1]].decode("utf-8", "replace"))
+    lines = np.flatnonzero(np.diff(ends) > 1)[int(header):]  # the non-empty ones, from 0
+    lines += 1
+    return lines if lines.size >= 2 else None
 
 
-def _header_end(text: str) -> int:
-    """Where the data start: past line 1 if it has two cells that do not parse."""
-    end = text.find("\n")
-    end = len(text) if end < 0 else end
-    cells = text[:end].split(",")
+def _is_header(line: str) -> bool:
+    """Is ``line`` (line 1) a header: two cells that do not parse?"""
+    cells = line.split(",")
     if len(cells) == 2:
         try:
             float(cells[0].strip()), float(cells[1].strip())
         except ValueError:
-            return end + 1
-    return 0
+            return True
+    return False
 
 
-def _csv_block(block: str, first: int, strip: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``(x, y)`` rows of whole lines, their line numbers, and the line count.
-
-    The block's first line is line ``first``.  A line holding one comma is a
-    row, and a line holding none must be blank.  Commas and line ends are
-    found in the UTF-8 bytes, where neither occurs inside a multi-byte
-    character, and every cell goes through one ``float`` pass.  Only
-    comma-free lines and the error path are looked at one by one.  The first
-    bad line raises the :class:`GridError` that reading line by line raises
-    for it.
-    """
-    codes = np.frombuffer(block.encode("utf-8"), np.uint8)
-    ends = np.append(np.flatnonzero(codes == 10), codes.size)
-    commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
-    rows = np.flatnonzero(commas == 1)
-    if rows.size == ends.size:
-        cells = block.replace("\n", ",").split(",")
-        ragged = ends.size
-    else:
-        lines = block.split("\n")
-        filled = [k for k in np.flatnonzero(commas == 0).tolist() if lines[k].strip()]
-        ragged = min(filled + np.flatnonzero(commas > 1)[:1].tolist(), default=ends.size)
-        cells = ",".join(compress(lines, commas == 1)).split(",") if rows.size else []
-    if strip:
-        cells = list(map(str.strip, cells))
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:  # keep the rows before the first cell that float() rejects
-        parsed = []
-        for cell in cells:
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                break
-        values = np.array(parsed[: len(parsed) // 2 * 2], np.float64)
-    values = values.reshape(-1, 2)
-    infinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    good = int(infinite[0]) if infinite.size else len(values)  # rows before the first bad one
-    bad = min(ragged, int(rows[good]) if good < rows.size else ends.size)
-    if bad < ends.size:
-        line = block.split("\n")[bad].strip()
-        if bad == ragged:
-            message = f"expected two columns, got {commas[bad] + 1}"
-        elif infinite.size:
-            message = f"non-finite entry in {line!r}"
-        else:
-            message = f"could not parse numbers from {line!r}"
-        raise GridError(f"line {first + bad}: {message}")
-    return values, rows + first, ends.size
+def _read_csv_lines(path: str | Path) -> GridFunction:
+    """:func:`read_csv` one ``str.splitlines`` line at a time."""
+    xs, ys, row_lines = array("d"), array("d"), array("q")
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != 2:
+            raise GridError(f"line {lineno}: expected two columns, got {len(cells)}")
+        try:
+            x, y = float(cells[0]), float(cells[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise GridError(f"line {lineno}: could not parse numbers from {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GridError(f"line {lineno}: non-finite entry in {line!r}")
+        xs.append(x)
+        ys.append(y)
+        row_lines.append(lineno)
+    return _grid_from_rows(np.frombuffer(xs), np.frombuffer(ys), np.frombuffer(row_lines, np.int64))
 
 
 def _grid_from_rows(xv: np.ndarray, yv: np.ndarray, row_lines: np.ndarray) -> GridFunction:

@@ -17,8 +17,9 @@ scalar comparisons and one ``Tolerance.leq``, the reference for the
 vectorised periodic witnesses.
 
 ``read_csv_rows`` reads a CSV file one line at a time, the reference for
-the block parser of ``grid.read_csv``: the same rows, bit for bit, and the
-same ``GridError`` text for the first bad line.  ``write_columns_repr``
+both paths of ``grid.read_csv``, ``np.loadtxt`` and the per-line loop: the
+same rows, bit for bit, and the same ``GridError`` text for the first bad
+line.  ``write_columns_repr``
 writes each cell as its ``repr``, joined by ``,`` and ``\n``: the reference
 that ``grid.write_csv`` and every ``--plot-csv`` file must match byte for
 byte.

@@ -329,7 +329,8 @@ def _centers(f: GridFunction, tol: Tolerance, first: int, stop: int) -> list[int
     the slope test and never surely fails.  A row with a sure fail is not a
     center, and a row with no undecided chord is one.  The rest, near ties
     and flat stretches, are settled by ``_settled`` on the chords their
-    ``open_`` masks leave undecided.
+    ``open_`` masks leave undecided, against one list of the indices where
+    ``v`` changes, made once per call.
     """
     v = f.values
     n = v.size
@@ -345,6 +346,7 @@ def _centers(f: GridFunction, tol: Tolerance, first: int, stop: int) -> list[int
     right = np.concatenate((v, pads))  # right[q] = v[q]
     left = np.concatenate((v[::-1], pads))  # left[n - 1 - q] = v[q]
     steps = np.arange(1.0, n)
+    changes = np.flatnonzero(v[1:] != v[:-1]) + 1  # where v differs from the entry before
     # rise to the points passed, lower, upper and the chords' slopes, reused by every block
     work = np.empty((4, rows * (n - 1)))
     centers = []
@@ -378,26 +380,28 @@ def _centers(f: GridFunction, tol: Tolerance, first: int, stop: int) -> list[int
         centers += [
             p0 + r for r in range(b)
             if not fails[r] and (not undecided[r] or _settled(
-                v, p0 + r, [(step, open_[r]) for step, open_ in opens], margin))
+                v, p0 + r, [(step, open_[r]) for step, open_ in opens], margin, changes))
         ]
     return centers
 
 
 def _settled(
-    v: np.ndarray, p: int, opens: list[tuple[int, np.ndarray]], margin: float
+    v: np.ndarray, p: int, opens: list[tuple[int, np.ndarray]], margin: float,
+    changes: np.ndarray,
 ) -> bool:
     """Are the chords from ``(p, v[p])`` that the slope test leaves undecided one-sided?
 
     ``opens`` holds, per side, its direction (+1 right, -1 left) and the mask
-    of its undecided chords, the ``k``-th ending ``k + 2`` steps out.  Over a
-    stretch where ``v`` equals ``v[p]`` exactly, the chord ordinates
+    of its undecided chords, the ``k``-th ending ``k + 2`` steps out.
+    ``changes`` lists the indices ``i >= 1`` where ``v[i] != v[i - 1]``.  Over
+    a stretch where ``v`` equals ``v[p]`` exactly, the chord ordinates
     ``v[p] + rise * t`` round to one side of ``v[p]``, so any slack ``>= 0``
     holds; the other chords get the ordinate check.
     """
     ends = np.concatenate([p + step * (2 + np.flatnonzero(mask)) for step, mask in opens])
-    changes = np.flatnonzero(v != v[p])  # chords up to the nearest of these pass over v[p] alone
-    k = int(np.searchsorted(changes, p))
-    lo = changes[k - 1] if k > 0 else 0
+    # chords up to the nearest index on either side where v leaves v[p] pass over v[p] alone
+    k = int(np.searchsorted(changes, p, side="right"))
+    lo = changes[k - 1] - 1 if k > 0 else 0
     hi = changes[k] if k < changes.size else v.size - 1
     return all(
         _first_exit(v, p, q, v[q:q + 1], 1, margin) is None

@@ -132,6 +132,21 @@ class TestSources:
         assert (code, err) == (0, "")
         assert json.loads(out)["sigma"] == [1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize("tol", [
+        [],
+        pytest.param(["--tol-abs", "0", "--tol-rel", "0"], marks=pytest.mark.xfail(
+            strict=True, reason="sigma is subadditive only within an ulp: see "
+            "test_subadd.py::TestSubadditiveMinorant::test_sigma_is_subadditive_at_zero_tolerance")),
+    ])
+    def test_minorant_of_a_csv_grid_reports_sigma_subadditive(self, capsys, tmp_path, tol):
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(2, 40))
+        path = tmp_path / "f.csv"
+        grid.write_csv(grid.GridFunction(0.0, 1.0, rng.uniform(0.5, 1.5, n) * np.arange(n)), path)
+        code, out, err = invoke(capsys, ["minorant", "--csv", str(path), *tol])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sigma_subadditive"] is True
+
     def test_sample_count_past_the_address_space_exits_2(self, capsys):
         argv = ["periodic-check", "--expr", "x", "--to", "1", "--samples", str(2**50), "--d", "0.5"]
         code, out, err = invoke(capsys, argv)

@@ -493,22 +493,35 @@ def _outcome(reader, path):
     return repr(f.origin), repr(f.step), f.values.tobytes()
 
 
+def _outcomes(path):
+    """read_csv's outcome as it reads the file, then with np.loadtxt bypassed."""
+    numpy_or_loop = _outcome(read_csv, path)
+    with mock.patch.object(grid, "_csv_lines", return_value=None):
+        return numpy_or_loop, _outcome(read_csv, path)
+
+
 class TestReadCsvAgainstRows:
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
     @given(text=csv_text())
-    @settings(max_examples=300, deadline=None)
-    def test_same_grid_or_message_across_block_boundaries(self, chunk, text, tmp_path_factory):
+    @settings(max_examples=600, deadline=None)
+    def test_same_grid_or_message_on_both_paths(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("csv") / "f.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(grid, "_CHUNK", chunk):
-            assert _outcome(read_csv, path) == _outcome(read_csv_rows, path)
+        want = _outcome(read_csv_rows, path)
+        assert _outcomes(path) == (want, want)
 
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a file without rows
     @pytest.mark.parametrize(
         "text",
         [
             "\ufeff0,1\n1,2\n2,5\n",
             "x,y\r\n0,1\r\n1,2\r\n",
+            "\ufeffx,y\r\n0,1\r\n1,2\r\n2,4.5\r\n",  # CRLF, a BOM and a header
             "\n \n0,1\n\t\n1,2\n\n",
+            "0,1\n \n1,2\n",  # a whitespace-only line, which np.loadtxt refuses
+            "0,1\n1,2\n\n",  # a trailing empty line, which np.loadtxt skips
+            "0,0\n\n1,1\n\n\n2.5,4\n",  # line 6 off the grid, after skipped lines
+            "0,1\n1\x1c,2\n2,3\n",  # np.loadtxt would strip the break as whitespace
+            "0,1\n1\x85,2\n2,3\n",
             "x,y\n0,1\nx,y\n",
             "\u0660,1_0\n\u0661.\u0665e0,2\n3,3\n",
             "0,1\u20281,2\u20292,3\x854,4",
@@ -522,28 +535,44 @@ class TestReadCsvAgainstRows:
             "\x1f0,1\x1f\n1,\x1f2\n",
             "0,1\n1,2\n2.5,3\n",
             "0,1\n1,2\n1,3\n",
+            "0\n1\n2\n",
             "",
             "x,y",
+            "x,y\n",  # header only
+            "\n\n\r\n",  # blank only
         ],
     )
     def test_same_grid_or_message_on_named_cases(self, text, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode())
-        for chunk in (1, 2, grid._CHUNK):
-            with mock.patch.object(grid, "_CHUNK", chunk):
-                assert _outcome(read_csv, path) == _outcome(read_csv_rows, path), chunk
+        want = _outcome(read_csv_rows, path)
+        assert _outcomes(path) == (want, want)
 
-    def test_large_file_in_several_blocks(self, tmp_path):
+    def test_large_file_with_a_ragged_row(self, tmp_path):
         f = fc.GridFunction(-2.0, 1e-3, np.random.default_rng(5).normal(size=60_001))
         path = tmp_path / "f.csv"
         write_csv(f, path)
-        assert _outcome(read_csv, path) == _outcome(read_csv_rows, path)
+        want = _outcome(read_csv_rows, path)
+        assert _outcomes(path) == (want, want)
         text = path.read_text()
         at = text.index("\n", len(text) // 2) + 1
-        path.write_text(text[:at] + "0,1,2\n" + text[at:])  # a ragged row in a later block
-        message = _outcome(read_csv, path)
-        assert message == _outcome(read_csv_rows, path)
-        assert message == f"line {text.count(chr(10), 0, at) + 1}: expected two columns, got 3"
+        path.write_text(text[:at] + "0,1,2\n" + text[at:])
+        want = _outcome(read_csv_rows, path)
+        assert want == f"line {text.count(chr(10), 0, at) + 1}: expected two columns, got 3"
+        assert _outcomes(path) == (want, want)
+
+    @pytest.mark.parametrize("count", [2, 3, 100_001])
+    def test_numpy_reads_write_csv_files_with_crlf_bom_header_and_empty_lines(self, count, tmp_path):
+        f = fc.GridFunction(0.5, 0.25, np.random.default_rng(count).normal(size=count))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["", ""]
+        lines.insert(len(lines) // 2 + 1, "")
+        text = "\ufeffx,y\r\n" + "".join(line + "\r\n" for line in lines) + "\r\n"
+        path.write_bytes(text.encode())
+        with mock.patch.object(grid, "_read_csv_lines", side_effect=AssertionError("per-line loop")):
+            assert read_csv(path) == f
 
 
 def json_value():

@@ -592,9 +592,9 @@ class TestBlockedCentralSet:
         calls = []
         settled = starconvex._settled
 
-        def counted(v, p, opens, margin):
+        def counted(v, p, opens, margin, changes):
             calls.append(p)
-            return settled(v, p, opens, margin)
+            return settled(v, p, opens, margin, changes)
 
         monkeypatch.setattr(starconvex, "_settled", counted)
         return calls
@@ -623,6 +623,16 @@ class TestBlockedCentralSet:
                 fallbacks += len(calls)
         # near ties and flat stretches at zero tolerance reach the ordinate check
         assert fallbacks > 0
+
+    def test_row_that_starts_a_flat_stretch(self):
+        # p = 4 starts a stretch of equal values right after the stretch 1..3 of
+        # another value; its chord to q = 0 crosses that stretch within the
+        # rounding band, so only the ordinate check finds it failing
+        f = fc.GridFunction(0.0, 1.0, [0.0, 1e-17, 1e-17, 1e-17, 2e-17, 2e-17, 1.0])
+        tol = fc.Tolerance(0.0, 0.0)
+        want = tuple(p for p in range(7) if is_center_bruteforce(f, p, tol))
+        assert 4 not in want
+        assert fc.central_set(f, tol).centers == want
 
     def test_never_calls_is_center(self, monkeypatch):
         def refuse(f, p, tol=fc.Tolerance()):
