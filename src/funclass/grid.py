@@ -12,10 +12,11 @@ parses with numpy's text reader wherever it reads what reading line by line woul
 
 from __future__ import annotations
 
-import codecs
 import functools
+import io
 import json
 import math
+import warnings
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -623,10 +624,15 @@ def _scaled(a: np.ndarray, E: np.ndarray, t: _ReprTables) -> tuple[np.ndarray, .
     return hi.astype(np.int64) + near.astype(np.int64), lo - near, scale
 
 
-def _read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8, universal newlines, without a leading byte-order mark."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
+def _read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The file decoded as UTF-8, universal newlines, without a leading byte-order mark.
+
+    ``data`` holds the file's bytes if they have been read already.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:  # read() decodes in one call, so offsets are the file's
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:  # utf-8, not utf-8-sig: offsets count the mark's bytes
         where = f"{exc.reason} at byte offset {exc.start}"
         raise GridError(f"{path}: not UTF-8 text ({where})") from None
@@ -648,49 +654,41 @@ def read_csv(path: str | Path) -> GridFunction:
     default :class:`Tolerance` and lie within ``MAX_SPACING_DEVIATION`` steps
     of it.  The first offending line is reported.
 
-    ``np.loadtxt`` reads the rows if :func:`_csv_lines` finds nothing in the
-    bytes that it would read otherwise, and they are finite, two per line.
-    Every other file, and every error, goes through :func:`_read_csv_lines`.
-    """
-    lines = _csv_lines(path)
-    if lines is not None:
-        try:  # from a handle: np.loadtxt decompresses a path ending in .gz, .bz2, .xz or .lzma
-            with open(path, encoding="utf-8-sig") as fh:
-                rows = np.loadtxt(fh, np.float64, delimiter=",", comments=None,
-                                  skiprows=lines[0] - 1, ndmin=2)
-        except ValueError:  # UnicodeDecodeError too
-            pass
-        else:
-            if rows.shape == (len(lines), 2) and np.isfinite(rows).all():
-                return _grid_from_rows(rows[:, 0], rows[:, 1], lines)
-    return _read_csv_lines(path)
-
-
-def _csv_lines(path: str | Path) -> np.ndarray | None:
-    """The 1-based numbers of a CSV file's data lines, or None if ``np.loadtxt`` must not read it.
-
-    None for a file holding one of ``_OTHER_BREAKS`` or fewer than two data
-    lines (``np.loadtxt`` warns on a file without rows).  A data line is a
-    non-empty line after the header, if any; ``\n``, ``\r\n`` and ``\r``
-    each end a line.  The bytes are freed on return.
+    The file is read once.  The rows ``np.loadtxt`` reads are kept if they
+    make a grid; every other file, and every error, goes through
+    :func:`_read_csv_lines`, which names the offending line.
     """
     data = Path(path).read_bytes()
+    rows = _loadtxt_rows(data)
+    if rows is not None:
+        try:
+            return _grid_from_rows(rows[:, 0], rows[:, 1], range(1, len(rows) + 1))
+        except GridError:  # those line numbers miss skipped lines: the loop names the line
+            pass
+    text = _read_text(path, data)
+    del data  # the loop holds every line of the text
+    return _read_csv_lines(text)
+
+
+def _loadtxt_rows(data: bytes) -> np.ndarray | None:
+    """The rows ``np.loadtxt`` reads from a CSV file's bytes ``data``, if finite and two per line.
+
+    None if ``data`` holds one of ``_OTHER_BREAKS``, or if numpy refuses the
+    file or warns, as on a file without rows.
+    """
     ascii_only = data.isascii()  # then the non-ASCII breaks need no search
     if any(mark.encode() in data for mark in _OTHER_BREAKS if mark.isascii() or not ascii_only):
         return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    codes = np.frombuffer(data, np.uint8, offset=start)
-    # where each line starts - 1 and ends, the "\n"s found a MiB at a time so that
-    # no temporary is the size of the file
-    ends = np.concatenate([[-1]] + [np.flatnonzero(codes[k:k + (1 << 20)] == 10) + k
-                                    for k in range(0, codes.size, 1 << 20)] + [[codes.size]])
-    # np.loadtxt fails on a line 1 that is not UTF-8, header or not
-    header = _is_header(data[start:start + ends[1]].decode("utf-8", "replace"))
-    lines = np.flatnonzero(np.diff(ends) > 1)[int(header):]  # the non-empty ones, from 0
-    lines += 1
-    return lines if lines.size >= 2 else None
+    try:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+        if not _is_header(fh.readline()):
+            fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, np.float64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):  # UnicodeDecodeError too
+        return None
+    return rows if rows.shape[1] == 2 and np.isfinite(rows).all() else None
 
 
 def _is_header(line: str) -> bool:
@@ -704,10 +702,10 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _read_csv_lines(path: str | Path) -> GridFunction:
-    """:func:`read_csv` one ``str.splitlines`` line at a time."""
+def _read_csv_lines(text: str) -> GridFunction:
+    """:func:`read_csv` of ``text``, one ``str.splitlines`` line at a time."""
     xs, ys, row_lines = array("d"), array("d"), array("q")
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -728,7 +726,7 @@ def _read_csv_lines(path: str | Path) -> GridFunction:
     return _grid_from_rows(np.frombuffer(xs), np.frombuffer(ys), np.frombuffer(row_lines, np.int64))
 
 
-def _grid_from_rows(xv: np.ndarray, yv: np.ndarray, row_lines: np.ndarray) -> GridFunction:
+def _grid_from_rows(xv: np.ndarray, yv: np.ndarray, row_lines: Sequence[int]) -> GridFunction:
     """The grid of CSV rows ``(xv[k], yv[k])`` read from lines ``row_lines[k]``.
 
     Checks that there are two rows and that the x column is a uniform,

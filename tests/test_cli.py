@@ -132,6 +132,24 @@ class TestSources:
         assert (code, err) == (0, "")
         assert json.loads(out)["sigma"] == [1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize("text", [
+        "\ufeffx,y\r\n0,1\r\n1,3\r\n\r\n2,2\r\n3,5\r\n",  # read by np.loadtxt
+        "0,1\n1,3\n\n2.5,2\n",  # np.loadtxt's rows fail, so the loop names line 4
+        "0,1\n1\x1c,2\n2,3\n",  # read by the loop alone
+    ])
+    def test_csv_read_from_a_pipe_as_from_a_file(self, capsys, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        want = invoke(capsys, ["heights", "--csv", str(path), "--d", "1"])
+        r, w = os.pipe()
+        try:  # the pipe can be read only once
+            os.write(w, text.encode())
+            os.close(w)
+            got = invoke(capsys, ["heights", "--csv", f"/dev/fd/{r}", "--d", "1"])
+        finally:
+            os.close(r)
+        assert got == want
+
     @pytest.mark.parametrize("tol", [
         [],
         pytest.param(["--tol-abs", "0", "--tol-rel", "0"], marks=pytest.mark.xfail(

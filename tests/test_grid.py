@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -493,13 +494,6 @@ def _outcome(reader, path):
     return repr(f.origin), repr(f.step), f.values.tobytes()
 
 
-def _outcomes(path):
-    """read_csv's outcome as it reads the file, then with np.loadtxt bypassed."""
-    numpy_or_loop = _outcome(read_csv, path)
-    with mock.patch.object(grid, "_csv_lines", return_value=None):
-        return numpy_or_loop, _outcome(read_csv, path)
-
-
 class TestReadCsvAgainstRows:
     @given(text=csv_text())
     @settings(max_examples=600, deadline=None)
@@ -507,7 +501,7 @@ class TestReadCsvAgainstRows:
         path = tmp_path_factory.mktemp("csv") / "f.csv"
         path.write_bytes(text.encode())
         want = _outcome(read_csv_rows, path)
-        assert _outcomes(path) == (want, want)
+        assert _outcome(read_csv, path) == want
 
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a file without rows
     @pytest.mark.parametrize(
@@ -546,20 +540,30 @@ class TestReadCsvAgainstRows:
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode())
         want = _outcome(read_csv_rows, path)
-        assert _outcomes(path) == (want, want)
+        assert _outcome(read_csv, path) == want
 
     def test_large_file_with_a_ragged_row(self, tmp_path):
         f = fc.GridFunction(-2.0, 1e-3, np.random.default_rng(5).normal(size=60_001))
         path = tmp_path / "f.csv"
         write_csv(f, path)
         want = _outcome(read_csv_rows, path)
-        assert _outcomes(path) == (want, want)
+        assert _outcome(read_csv, path) == want
         text = path.read_text()
         at = text.index("\n", len(text) // 2) + 1
         path.write_text(text[:at] + "0,1,2\n" + text[at:])
         want = _outcome(read_csv_rows, path)
         assert want == f"line {text.count(chr(10), 0, at) + 1}: expected two columns, got 3"
-        assert _outcomes(path) == (want, want)
+        assert _outcome(read_csv, path) == want
+
+    @pytest.mark.parametrize("text", ["x,y\n", "\n\n"])
+    def test_file_without_rows_warns_nothing(self, text, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # np.loadtxt's "input contained no data" would show
+            with pytest.raises(fc.GridError, match="need at least 2 data rows, got 0"):
+                read_csv(path)
+        assert caught == []
 
     @pytest.mark.parametrize("count", [2, 3, 100_001])
     def test_numpy_reads_write_csv_files_with_crlf_bom_header_and_empty_lines(self, count, tmp_path):
