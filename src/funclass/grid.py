@@ -632,7 +632,8 @@ def _read_text(path: str | Path, data: bytes | None = None) -> str:
     if data is None:
         data = Path(path).read_bytes()
     try:  # read() decodes in one call, so offsets are the file's
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:  # utf-8, not utf-8-sig: offsets count the mark's bytes
         where = f"{exc.reason} at byte offset {exc.start}"
         raise GridError(f"{path}: not UTF-8 text ({where})") from None
@@ -680,12 +681,12 @@ def _loadtxt_rows(data: bytes) -> np.ndarray | None:
     if any(mark.encode() in data for mark in _OTHER_BREAKS if mark.isascii() or not ascii_only):
         return None
     try:
-        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-        if not _is_header(fh.readline()):
-            fh.seek(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(fh, np.float64, delimiter=",", comments=None, ndmin=2)
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
+            if not _is_header(fh.readline()):
+                fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, np.float64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):  # UnicodeDecodeError too
         return None
     return rows if rows.shape[1] == 2 and np.isfinite(rows).all() else None
